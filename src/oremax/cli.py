@@ -150,7 +150,10 @@ def _cmd_check(args) -> int:
     if args.input == "-":
         text = sys.stdin.read()
     else:
-        text = Path(args.input).read_text(encoding="ascii")
+        # decoded as stdin is, so a non-ASCII byte reaches the graph6
+        # parser and is reported as malformed input
+        text = Path(args.input).read_text(encoding="utf-8",
+                                          errors="surrogateescape")
     print("graph6\torder\tsize\tdiameter\tkappa\textremal")
     for line in text.splitlines():
         line = line.strip()

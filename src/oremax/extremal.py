@@ -32,8 +32,9 @@ from itertools import combinations
 from math import comb
 
 from .errors import CapacityError, ParameterError
-from .graphs import (CANONICAL_MAX_ORDER, MAX_ORDER, Graph, bits,
-                     canonical_form, from_edges, from_graph6)
+from .graphs import (MAX_ORDER, Graph, bits, canonical_form,
+                     check_canonical_order, from_edges, from_graph6,
+                     to_graph6)
 from .metrics import DISCONNECTED, diameter, is_k_connected
 
 
@@ -244,9 +245,7 @@ def enumerate_family(p: Parameters) -> list[Graph]:
     and returns one canonically relabelled graph per isomorphism class,
     sorted by canonical encoding.
     """
-    if p.n > CANONICAL_MAX_ORDER:
-        raise CapacityError(
-            f"order {p.n} exceeds canonical-form guard {CANONICAL_MAX_ORDER}")
+    check_canonical_order(p.n)
     target = max_size_formula(p)
     seen: set[str] = set()
     for spec in _candidate_specs(p):
@@ -269,10 +268,7 @@ def is_extremal(g: Graph, k: int) -> bool:
     graphs, disconnected graphs, order too small for the backbone)
     return False rather than raising.
     """
-    if g.order > CANONICAL_MAX_ORDER:
-        raise CapacityError(
-            f"order {g.order} exceeds canonical-form guard "
-            f"{CANONICAL_MAX_ORDER}")
+    check_canonical_order(g.order)
     if k < 1:
         raise ParameterError("k must be at least 1")
     dia = diameter(g)
@@ -286,5 +282,5 @@ def is_extremal(g: Graph, k: int) -> bool:
         return False
     if not is_k_connected(g, k):
         return False
-    mine = canonical_form(g).g6
-    return any(canonical_form(m).g6 == mine for m in enumerate_family(p))
+    # enumerate_family already returns canonically labelled graphs
+    return canonical_form(g).g6 in {to_graph6(m) for m in enumerate_family(p)}

@@ -16,6 +16,11 @@ adjacency cells are ordered column by column,
 
 and the first cell in that list is the most significant bit of the
 integer encoding produced by :func:`bit_code`.
+
+The package's only bitmask loops live here: :func:`bits` lists a mask's
+set bits, :func:`reach` floods breadth-first over adjacency rows (every
+BFS layering, connectedness test and oracle screen goes through it), and
+:func:`subset_masks` builds vertex-subset masks in lexicographic order.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,10 +62,7 @@ class Graph:
             if row >> v & 1:
                 raise ParameterError(f"self-loop at vertex {v}")
         for v, row in enumerate(self.rows):
-            m = row
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
+            for u in bits(row):
                 if not self.rows[u] >> v & 1:
                     raise ParameterError(f"asymmetric adjacency between {u} and {v}")
 
@@ -107,6 +109,38 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def reach(rows: Sequence[int], seed: int, allowed: int = -1,
+          depth: int = -1) -> tuple[int, int]:
+    """Breadth-first flood from the vertex mask ``seed``.
+
+    Each step adds the neighbours (by ``rows``) of the last frontier that
+    lie in ``allowed`` and are not yet reached; the seed itself is always
+    reached.  At most ``depth`` steps are taken (no limit if negative).
+    Returns ``(reached, frontier)``: every vertex reached, and the
+    vertices first reached at step ``depth`` -- the seed for depth 0,
+    and 0 if the flood died out sooner or the depth is unlimited.
+    """
+    reached = frontier = seed
+    while depth and frontier:
+        grown = 0
+        m = frontier
+        while m:
+            low = m & -m
+            grown |= rows[low.bit_length() - 1]
+            m ^= low
+        frontier = grown & allowed & ~reached
+        reached |= frontier
+        depth -= 1
+    return reached, frontier
+
+
+def subset_masks(order: int, size: int) -> Iterator[int]:
+    """Masks of the ``size``-vertex subsets of ``0..order-1``, in the
+    lexicographic order of their sorted vertex tuples."""
+    return map(sum, itertools.combinations([1 << v for v in range(order)],
+                                           size))
+
+
 def _mask_from(vertices: Iterable[int], order: int) -> int:
     mask = 0
     for v in vertices:
@@ -126,13 +160,9 @@ def pair_list(order: int) -> tuple[tuple[int, int], ...]:
 # construction
 
 
-def empty_graph(order: int, *, max_order: int = MAX_ORDER) -> Graph:
+def empty_graph(order: int) -> Graph:
     """Graph with ``order`` vertices and no edges."""
-    if order < 0:
-        raise ParameterError("order must be non-negative")
-    if order > max_order:
-        raise CapacityError(f"order {order} exceeds cap {max_order}")
-    return Graph(order, (0,) * order)
+    return from_edges(order, ())
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
@@ -147,13 +177,12 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.order, tuple(rows))
 
 
-def from_edges(order: int, edges: Iterable[tuple[int, int]],
-               *, max_order: int = MAX_ORDER) -> Graph:
+def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph on ``order`` vertices with the given edges."""
     if order < 0:
         raise ParameterError("order must be non-negative")
-    if order > max_order:
-        raise CapacityError(f"order {order} exceeds cap {max_order}")
+    if order > MAX_ORDER:
+        raise CapacityError(f"order {order} exceeds cap {MAX_ORDER}")
     rows = [0] * order
     for u, v in edges:
         if not 0 <= u < order or not 0 <= v < order:
@@ -231,7 +260,8 @@ def from_bit_code(order: int, code: int) -> Graph:
     return Graph(order, tuple(rows))
 
 
-def _check_canonical_order(order: int) -> None:
+def check_canonical_order(order: int) -> None:
+    """Raise CapacityError past the exhaustive canonical-form guard."""
     if order > CANONICAL_MAX_ORDER:
         raise CapacityError(
             f"order {order} exceeds canonical-form guard {CANONICAL_MAX_ORDER}")
@@ -270,7 +300,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     Exhaustive over the symmetric group, hence the order guard.  Two
     graphs have equal canonical forms iff they are isomorphic.
     """
-    _check_canonical_order(g.order)
+    check_canonical_order(g.order)
     if g.order <= 1:
         return CanonicalForm(to_graph6(g))
     best = None
@@ -283,7 +313,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 def relabeling_codes(g: Graph) -> set[int]:
     """Set of bit codes of all relabellings of ``g`` (its labelled orbit)."""
-    _check_canonical_order(g.order)
+    check_canonical_order(g.order)
     if g.order <= 1:
         return {0}
     parts = [np.unique(codes) for codes in _encoding_blocks(g)]
@@ -292,8 +322,8 @@ def relabeling_codes(g: Graph) -> set[int]:
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """True iff the two graphs are isomorphic (orders <= 10)."""
-    _check_canonical_order(g.order)
-    _check_canonical_order(h.order)
+    check_canonical_order(g.order)
+    check_canonical_order(h.order)
     if g.order != h.order or g.size != h.size:
         return False
     if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):

@@ -4,17 +4,18 @@ BFS layer profiles, diameter with a typed sentinel for disconnected
 graphs, and vertex connectivity by Menger's theorem: the maximum number
 of internally disjoint paths between a non-adjacent pair equals the
 minimum separator size, computed as unit-capacity max flow on the
-vertex-split digraph.
+vertex-split digraph.  Every traversal over adjacency rows is a call to
+:func:`oremax.graphs.reach`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Sequence
 
 from .errors import ParameterError
-from .graphs import Graph, bits, is_clique
+from .graphs import Graph, bits, is_clique, reach, subset_masks
 
 
 class Disconnected:
@@ -81,26 +82,20 @@ def bfs_layers(g: Graph, source: int) -> LayerProfile:
     """Layers of vertices by exact distance from ``source``."""
     if not 0 <= source < g.order:
         raise IndexError(f"vertex {source} out of range for order {g.order}")
-    seen = 1 << source
-    frontier = seen
-    layers = [frontier]
-    while True:
-        grown = 0
-        for v in bits(frontier):
-            grown |= g.rows[v]
-        grown &= ~seen
-        if not grown:
-            return LayerProfile(source, tuple(layers), len(layers) - 1)
-        layers.append(grown)
-        seen |= grown
-        frontier = grown
+    seen = layer = 1 << source
+    layers = []
+    while layer:
+        layers.append(layer)
+        _, layer = reach(g.rows, layer, ~seen, 1)
+        seen |= layer
+    return LayerProfile(source, tuple(layers), len(layers) - 1)
 
 
 def is_connected(g: Graph) -> bool:
     """True iff the graph has one component (vacuously true for order 1)."""
     if g.order == 0:
         raise ParameterError("connectivity undefined for order-0 graph")
-    return bfs_layers(g, 0).reached() == (1 << g.order) - 1
+    return reach(g.rows, 1)[0] == (1 << g.order) - 1
 
 
 def diameter(g: Graph) -> int | Disconnected:
@@ -182,34 +177,18 @@ def local_connectivity(g: Graph, s: int, t: int, *,
     return _max_flow_units(cap, nbrs, 2 * s + 1, 2 * t, limit)
 
 
-def _is_complete(g: Graph) -> bool:
-    full = (1 << g.order) - 1
-    return all(g.rows[v] == full ^ (1 << v) for v in range(g.order))
-
-
-def _removal_disconnects(g: Graph, cut: int) -> bool:
-    remaining = (1 << g.order) - 1 & ~cut
-    if remaining == 0 or remaining & (remaining - 1) == 0:
-        return False
-    comp = remaining & -remaining
-    frontier = comp
-    while frontier:
-        grown = 0
-        for v in bits(frontier):
-            grown |= g.rows[v]
-        frontier = grown & remaining & ~comp
-        comp |= frontier
-    return comp != remaining
+def induced_disconnected(rows: Sequence[int], keep: int) -> bool:
+    """True iff the graph induced on the vertex mask ``keep`` is
+    disconnected (never for fewer than two vertices)."""
+    return reach(rows, keep & -keep, keep)[0] != keep
 
 
 def _lex_min_cut(g: Graph, kappa: int) -> int:
-    # combinations() yields sorted tuples in lexicographic order, so the
-    # first disconnecting subset is the canonical witness.
-    for combo in combinations(range(g.order), kappa):
-        cut = 0
-        for v in combo:
-            cut |= 1 << v
-        if _removal_disconnects(g, cut):
+    # subset_masks() follows lexicographic order, so the first
+    # disconnecting subset is the canonical witness.
+    full = (1 << g.order) - 1
+    for cut in subset_masks(g.order, kappa):
+        if induced_disconnected(g.rows, full & ~cut):
             return cut
     raise AssertionError("no cut of the computed connectivity size")
 
@@ -218,7 +197,7 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     """Minimum separating set size; order - 1 for complete graphs."""
     if g.order == 0:
         raise ParameterError("connectivity undefined for order-0 graph")
-    if _is_complete(g):
+    if is_clique(g, range(g.order)):
         return ConnectivityResult(g.order - 1, 0)
     if not is_connected(g):
         return ConnectivityResult(0, 0)
@@ -239,7 +218,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
         raise ParameterError("connectivity level must be at least 1")
     if g.order <= k:
         return False
-    if _is_complete(g):
+    if is_clique(g, range(g.order)):
         return True
     if min(row.bit_count() for row in g.rows) < k:
         return False

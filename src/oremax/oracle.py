@@ -8,8 +8,8 @@ near-complete, so removing edges from the complete graph one level at a
 time reaches the answer after a handful of levels, and the first
 feasible level is provably the maximum.
 
-Everything is guarded: order 8 by default, and a candidate budget that
-aborts loudly instead of truncating silently.
+Everything is guarded: order 8, and a candidate budget that aborts
+loudly instead of truncating silently.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from math import comb
 from .errors import BudgetError, CapacityError
 from .extremal import (FormulaMode, Parameters, enumerate_family,
                        max_size_formula)
-from .graphs import (from_bit_code, from_graph6, pair_list, relabeling_codes,
-                     to_graph6)
-from .metrics import diameter, is_k_connected
+from .graphs import (from_bit_code, from_graph6, pair_list, reach,
+                     relabeling_codes, subset_masks, to_graph6)
+from .metrics import diameter, induced_disconnected, is_k_connected
 
 DEFAULT_ORDER_GUARD = 8
 DEFAULT_BUDGET = 10**9
@@ -64,30 +64,7 @@ class OracleReport:
 
 def _cut_masks(n: int, k: int) -> list[int]:
     """Bitmasks of every vertex subset of size 1..k-1."""
-    masks = []
-    for size in range(1, k):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            masks.append(mask)
-    return masks
-
-
-def _splits(rows: list[int], remaining: int) -> bool:
-    """True iff the graph induced on the ``remaining`` mask is disconnected."""
-    comp = remaining & -remaining
-    frontier = comp
-    while frontier:
-        grown = 0
-        m = frontier
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            grown |= rows[w]
-        frontier = grown & remaining & ~comp
-        comp |= frontier
-    return comp != remaining
+    return [mask for size in range(1, k) for mask in subset_masks(n, size)]
 
 
 def _far_ok(rows: list[int], far: list[tuple[int, int]], d: int) -> bool:
@@ -95,35 +72,18 @@ def _far_ok(rows: list[int], far: list[tuple[int, int]], d: int) -> bool:
 
     True iff every far pair lies at distance <= d and at least one lies
     at distance exactly d.  Grouped by source so each source is swept by
-    one depth-capped BFS.
+    one BFS capped at depth d.
     """
     hit_d = False
     by_src: dict[int, int] = {}
     for u, v in far:
         by_src[u] = by_src.get(u, 0) | 1 << v
     for u, targets in by_src.items():
-        seen = 1 << u
-        frontier = seen
-        for dist in range(1, d + 1):
-            grown = 0
-            m = frontier
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                grown |= rows[w]
-            frontier = grown & ~seen
-            if not frontier:
-                break
-            seen |= frontier
-            found = frontier & targets
-            if found:
-                if dist == d:
-                    hit_d = True
-                targets &= ~found
-                if not targets:
-                    break
-        if targets:
+        reached, at_d = reach(rows, 1 << u, depth=d)
+        if targets & ~reached:
             return False
+        if targets & at_d:
+            hit_d = True
     return hit_d
 
 
@@ -148,7 +108,7 @@ def _candidate_ok(rows: list[int], missing: list[tuple[int, int]], k: int,
         if not far or not _far_ok(rows, far, d):
             return False
     for cut in cut_masks:
-        if _splits(rows, full & ~cut):
+        if induced_disconnected(rows, full & ~cut):
             return False
     return True
 
@@ -218,11 +178,11 @@ def _dedup_canonical(n: int, codes: list[int]) -> list[str]:
 
 
 def max_size_bruteforce(p: Parameters, *,
-                        order_guard: int = DEFAULT_ORDER_GUARD,
                         budget: int = DEFAULT_BUDGET) -> OracleReport:
     """Exact maximum size and all maximizers up to isomorphism."""
-    if p.n > order_guard:
-        raise CapacityError(f"order {p.n} exceeds search guard {order_guard}")
+    if p.n > DEFAULT_ORDER_GUARD:
+        raise CapacityError(
+            f"order {p.n} exceeds search guard {DEFAULT_ORDER_GUARD}")
     start = time.perf_counter()
     max_size, codes = _search(p.n, p.k, p.d, budget)
     extremal = tuple(_dedup_canonical(p.n, codes))
@@ -236,7 +196,6 @@ def max_size_bruteforce(p: Parameters, *,
 
 
 def verify_theorem(p: Parameters, *,
-                   order_guard: int = DEFAULT_ORDER_GUARD,
                    budget: int = DEFAULT_BUDGET) -> OracleReport:
     """Brute-force the instance and compare every made claim against it.
 
@@ -245,7 +204,7 @@ def verify_theorem(p: Parameters, *,
     maximizers coincide as sets of isomorphism classes.
     """
     start = time.perf_counter()
-    report = max_size_bruteforce(p, order_guard=order_guard, budget=budget)
+    report = max_size_bruteforce(p, budget=budget)
     family = {to_graph6(g) for g in enumerate_family(p)}
     return replace(
         report,
@@ -259,15 +218,15 @@ def verify_theorem(p: Parameters, *,
 
 
 def sweep(n_max: int, k_max: int | None = None, d_max: int | None = None, *,
-          order_guard: int = DEFAULT_ORDER_GUARD,
           budget: int = DEFAULT_BUDGET) -> list[OracleReport]:
     """verify_theorem over every valid instance within the bounds.
 
     Instances run in lexicographic (n, k, d) order; k_max and d_max
     default to n_max.
     """
-    if n_max > order_guard:
-        raise CapacityError(f"n_max {n_max} exceeds search guard {order_guard}")
+    if n_max > DEFAULT_ORDER_GUARD:
+        raise CapacityError(
+            f"n_max {n_max} exceeds search guard {DEFAULT_ORDER_GUARD}")
     if k_max is None:
         k_max = n_max
     if d_max is None:
@@ -277,7 +236,6 @@ def sweep(n_max: int, k_max: int | None = None, d_max: int | None = None, *,
         for k in range(1, k_max + 1):
             for d in range(2, d_max + 1):
                 if n >= k * d - k + 2:
-                    reports.append(verify_theorem(
-                        Parameters(n, k, d),
-                        order_guard=order_guard, budget=budget))
+                    reports.append(verify_theorem(Parameters(n, k, d),
+                                                  budget=budget))
     return reports

@@ -176,6 +176,14 @@ def test_bad_graph6_input_exits_2(capsys, monkeypatch):
     assert run(["check", "--k", "1"]) == 2
 
 
+def test_non_ascii_input_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "graphs.g6"
+    target.write_bytes(b"C~\n\xc3\xa9\n")
+    assert run(["check", "--k", "1", "--input", str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("oremax: error: ")
+
+
 def test_capacity_exits_4(capsys):
     assert run(["oracle", "--n", "9", "--k", "1", "--d", "2"]) == 4
     assert run(["family", "--n", "11", "--k", "1", "--d", "10"]) == 4

@@ -1,15 +1,18 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
 
-from bruteforce import random_graph, ref_canonical_code
+from bruteforce import (_connected_on, fw_distances, random_graph,
+                        ref_canonical_code)
 from oremax import (CANONICAL_MAX_ORDER, CapacityError, Graph,
                     Graph6ParseError, ParameterError, add_edge, bit_code,
                     bits, build_backbone, canonical_form, empty_graph,
                     from_bit_code, from_edges, from_graph6, induced_subgraph,
                     is_clique, is_isomorphic, relabel, relabeling_codes,
                     to_dot, to_edge_list, to_graph6)
+from oremax.graphs import reach, subset_masks
 
 
 def k_n(n):
@@ -132,6 +135,43 @@ def test_relabel():
     assert h.has_edge(2, 0) and h.has_edge(0, 1) and not h.has_edge(2, 1)
     with pytest.raises(ParameterError):
         relabel(g, [0, 0, 1])
+
+
+# --- traversal kernel and subset masks -------------------------------------
+
+
+def test_reach_matches_floyd_warshall_distances():
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randrange(1, 10)
+        g = random_graph(rng, n, rng.random())
+        dist = fw_distances(g)
+        seed = rng.randrange(1, 1 << n)
+        from_seed = [min(dist[s][v] for s in bits(seed)) for v in range(n)]
+        for depth in (0, 1, rng.randrange(2, n + 2), -1):
+            limit = depth if depth >= 0 else n
+            within = sum(1 << v for v in range(n) if from_seed[v] <= limit)
+            exact = sum(1 << v for v in range(n) if from_seed[v] == depth)
+            assert reach(g.rows, seed, depth=depth) == (within, exact)
+
+
+def test_reach_within_allowed_matches_induced_connectivity():
+    rng = random.Random(32)
+    for _ in range(300):
+        n = rng.randrange(1, 10)
+        g = random_graph(rng, n, rng.random())
+        keep = rng.randrange(1 << n)
+        reached, frontier = reach(g.rows, keep & -keep, keep)
+        assert (reached == keep) == _connected_on(g, keep)
+        assert frontier == 0
+
+
+def test_subset_masks_follow_combinations_order():
+    for n in range(8):
+        for size in range(n + 2):
+            expect = [sum(1 << v for v in combo)
+                      for combo in combinations(range(n), size)]
+            assert list(subset_masks(n, size)) == expect
 
 
 # --- canonical forms --------------------------------------------------------

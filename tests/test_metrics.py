@@ -3,13 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from bruteforce import (brute_min_separator, brute_vertex_connectivity,
-                        fw_diameter, random_graph)
+from bruteforce import (_connected_on, brute_min_separator,
+                        brute_vertex_connectivity, fw_diameter, random_graph)
 from oremax import (DISCONNECTED, ConnectivityResult, ParameterError,
                     bfs_layers, bits, build_backbone, diameter, empty_graph,
                     from_edges, is_connected, is_k_connected,
                     layer_structure_check, local_connectivity,
                     vertex_connectivity)
+from oremax.metrics import induced_disconnected
 
 
 def k_n(n):
@@ -108,6 +109,15 @@ def test_local_connectivity_matches_brute_separators():
                 assert local_connectivity(g, s, t) == \
                     brute_min_separator(g, s, t)
                 seen += 1
+
+
+def test_induced_disconnected_matches_brute():
+    rng = random.Random(34)
+    for _ in range(300):
+        n = rng.randrange(1, 10)
+        g = random_graph(rng, n, rng.random())
+        keep = rng.randrange(1 << n)
+        assert induced_disconnected(g.rows, keep) == (not _connected_on(g, keep))
 
 
 def test_vertex_connectivity_basics():
