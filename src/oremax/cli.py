@@ -147,6 +147,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.k < 1:
+        raise ParameterError("k must be at least 1")
     if args.input == "-":
         text = sys.stdin.read()
     else:

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +180,14 @@ def test_bad_graph6_input_exits_2(capsys, monkeypatch):
     assert run(["check", "--k", "1"]) == 2
 
 
+def test_check_rejects_k_below_1_before_output(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("C?\n"))
+    assert run(["check", "--k", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("oremax: error: ")
+
+
 def test_non_ascii_input_file_exits_2(tmp_path, capsys):
     target = tmp_path / "graphs.g6"
     target.write_bytes(b"C~\n\xc3\xa9\n")
@@ -194,3 +206,27 @@ def test_help_exits_0(capsys):
     with_help = run(["--help"])
     assert with_help == 0
     assert "formula" in capsys.readouterr().out
+
+
+# --- fresh interpreters -----------------------------------------------------
+
+
+def _python(*args):
+    src = str(Path(oremax.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_cli():
+    done = _python("-m", "oremax", "formula", "--n", "6", "--k", "1",
+                   "--d", "4")
+    assert (done.returncode, done.stdout) == (0, "7\n")
+
+
+def test_import_pulls_in_no_numpy():
+    done = _python("-c", "import oremax, sys; "
+                         "assert 'numpy' not in sys.modules")
+    assert done.returncode == 0, done.stderr

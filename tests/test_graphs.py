@@ -27,6 +27,11 @@ def cycle(n):
     return from_edges(n, list(zip(range(n), [*range(1, n), 0])))
 
 
+def cube():
+    return from_edges(8, [(u, u | 1 << b) for u in range(8) for b in range(3)
+                          if not u >> b & 1])
+
+
 # --- construction -----------------------------------------------------------
 
 
@@ -196,8 +201,10 @@ def test_canonical_form_random_relabelings_of_backbone():
 
 def test_canonical_form_against_reference():
     rng = random.Random(31)
-    for _ in range(40):
-        g = random_graph(rng, rng.randrange(0, 7))
+    graphs = [random_graph(rng, rng.randrange(0, 7)) for _ in range(40)]
+    # twin-free and vertex-transitive: the prefix search keeps many ties
+    graphs += [cycle(8), cube()]
+    for g in graphs:
         got = bit_code(from_graph6(canonical_form(g).g6))
         assert got == ref_canonical_code(g)
 
@@ -228,11 +235,18 @@ def test_is_isomorphic():
 
 def test_relabeling_codes_is_full_orbit():
     from itertools import permutations
-    g = path(4)
-    want = set()
-    for perm in permutations(range(4)):
-        want.add(bit_code(relabel(g, perm)))
-    assert relabeling_codes(g) == want
+    rng = random.Random(47)
+    graphs = [path(4)]
+    graphs += [random_graph(rng, rng.randrange(0, 7), rng.random())
+               for _ in range(30)]
+    # twin-heavy: a star, K2,3 and a backbone, where twin classes prune
+    graphs += [from_edges(5, [(0, v) for v in range(1, 5)]),
+               from_edges(5, [(u, v) for u in range(2) for v in range(2, 5)]),
+               build_backbone(2, 3)[0]]
+    for g in graphs:
+        want = {bit_code(relabel(g, perm))
+                for perm in permutations(range(g.order))}
+        assert relabeling_codes(g) == want
 
 
 def test_bit_code_round_trip():
