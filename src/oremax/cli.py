@@ -146,6 +146,19 @@ def _cmd_family(args) -> int:
     return 0
 
 
+def _check_row(line: str, k: int) -> str:
+    g = from_graph6(line)
+    dia = diameter(g)
+    kappa = vertex_connectivity(g).kappa
+    if dia is DISCONNECTED:
+        dia_text, verdict = "disconnected", False
+    else:
+        dia_text = str(dia)
+        verdict = is_extremal(g, k)
+    return (f"{to_graph6(g)}\t{g.order}\t{g.size}\t{dia_text}\t{kappa}\t"
+            f"{_bool_text(verdict)}")
+
+
 def _cmd_check(args) -> int:
     if args.k < 1:
         raise ParameterError("k must be at least 1")
@@ -157,21 +170,18 @@ def _cmd_check(args) -> int:
         text = Path(args.input).read_text(encoding="utf-8",
                                           errors="surrogateescape")
     print("graph6\torder\tsize\tdiameter\tkappa\textremal")
-    for line in text.splitlines():
+    # a bad line is reported and skipped; the exit code is the worst seen
+    worst = 0
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        g = from_graph6(line)
-        dia = diameter(g)
-        kappa = vertex_connectivity(g).kappa
-        if dia is DISCONNECTED:
-            dia_text, verdict = "disconnected", False
-        else:
-            dia_text = str(dia)
-            verdict = is_extremal(g, args.k)
-        print(f"{to_graph6(g)}\t{g.order}\t{g.size}\t{dia_text}\t{kappa}\t"
-              f"{_bool_text(verdict)}")
-    return 0
+        try:
+            print(_check_row(line, args.k))
+        except (ParameterError, Graph6ParseError, CapacityError) as exc:
+            print(f"oremax: error: line {number}: {exc}", file=sys.stderr)
+            worst = max(worst, 4 if isinstance(exc, CapacityError) else 2)
+    return worst
 
 
 def _cmd_oracle(args) -> int:
@@ -247,3 +257,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -3,14 +3,18 @@
 BFS layer profiles, diameter with a typed sentinel for disconnected
 graphs, and vertex connectivity by Menger's theorem: the maximum number
 of internally disjoint paths between a non-adjacent pair equals the
-minimum separator size, computed as unit-capacity max flow on the
-vertex-split digraph.  Every traversal over adjacency rows is a call to
+minimum separator size.  Each pair is a unit-capacity max flow on the
+vertex-split digraph, found by augmenting paths that step along the
+adjacency bitmask rows.  Even's bound keeps the pairs few: a separator
+of fewer than k vertices misses one of the vertices 0..k-1, so
+``is_k_connected`` only tries those k source rows, and
+``vertex_connectivity`` tries sources 0..kappa, O(kappa * n) flows in
+all.  Every other traversal over adjacency rows is a call to
 :func:`oremax.graphs.reach`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,36 +118,13 @@ def diameter(g: Graph) -> int | Disconnected:
 # ---------------------------------------------------------------------------
 # connectivity via max flow
 
-# Flow network node ids: vertex v splits into entry node 2v and exit
-# node 2v + 1, linked by a capacity-1 internal arc; edge uv becomes the
-# arcs exit(u) -> entry(v) and exit(v) -> entry(u).  A path through the
-# digraph then consumes each intermediate vertex at most once.
-
-
-def _max_flow_units(cap: dict, nbrs: dict, source: int, sink: int,
-                    limit: int | None) -> int:
-    flow = 0
-    while limit is None or flow < limit:
-        parent = {source: source}
-        queue = deque([source])
-        while queue:
-            a = queue.popleft()
-            if a == sink:
-                break
-            for b in nbrs[a]:
-                if b not in parent and cap[a, b] > 0:
-                    parent[b] = a
-                    queue.append(b)
-        if sink not in parent:
-            return flow
-        b = sink
-        while b != source:
-            a = parent[b]
-            cap[a, b] -= 1
-            cap[b, a] += 1
-            b = a
-        flow += 1
-    return flow
+# Vertex v splits into an entry and an exit node joined by a capacity-1
+# split arc; edge uv becomes the arcs exit(u) -> entry(v) and exit(v) ->
+# entry(u), so a path uses each intermediate vertex at most once.  The
+# flow is the list ``pred``: pred[v] == v for a free vertex, else v's
+# predecessor on its path.  In the residual digraph entry(v) then has
+# one way out, to exit(pred[v]): across a free split arc, or back
+# against the unit that pred[v] sends into v.
 
 
 def local_connectivity(g: Graph, s: int, t: int, *,
@@ -160,21 +141,34 @@ def local_connectivity(g: Graph, s: int, t: int, *,
         raise ParameterError("endpoints must be distinct")
     if g.has_edge(s, t):
         raise ParameterError("endpoints must be non-adjacent")
-    cap: dict = defaultdict(int)
-    nbrs: dict = defaultdict(list)
-
-    def arc(a: int, b: int) -> None:
-        cap[a, b] += 1
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-
-    for v in range(g.order):
-        if v != s and v != t:
-            arc(2 * v, 2 * v + 1)
-    for u in range(g.order):
-        for v in bits(g.rows[u]):
-            arc(2 * u + 1, 2 * v)
-    return _max_flow_units(cap, nbrs, 2 * s + 1, 2 * t, limit)
+    rows = g.rows
+    pred = list(range(g.order))
+    flow = 0
+    while limit is None or flow < limit:
+        # BFS over exit nodes: via[x] = (u, v) when exit(x) is first
+        # reached from exit(u) through entry(v).  Exit(u) leads to its
+        # neighbours' entries and, backing over a loaded split arc, to
+        # entry(u).  A loaded arc u -> v, or entry(u) of a free u, leads
+        # only back to exit(u), so neither is filtered out.
+        via = {s: None}
+        seen_in = 1 << s
+        queue = [s]
+        for u in queue:  # grows while it is walked
+            step = (rows[u] | 1 << u) & ~seen_in
+            if step >> t & 1:
+                break
+            seen_in |= step
+            for v in bits(step):
+                if pred[v] not in via:
+                    via[pred[v]] = (u, v)
+                    queue.append(pred[v])
+        else:
+            return flow
+        while u != s:  # entry(v) now takes its unit from exit(u)
+            u, v = via[u]
+            pred[v] = u
+        flow += 1
+    return flow
 
 
 def induced_disconnected(rows: Sequence[int], keep: int) -> bool:
@@ -201,14 +195,17 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
         return ConnectivityResult(g.order - 1, 0)
     if not is_connected(g):
         return ConnectivityResult(0, 0)
+    # A minimum separator S misses one of 0..kappa; the least vertex i
+    # outside S is cut by S from some later vertex, so the source rows
+    # 0..best (best >= kappa) hold a pair of value kappa.
     best = g.order - 1
-    for s in range(g.order):
+    s = 0
+    while s <= best:
         for t in range(s + 1, g.order):
             if not g.rows[s] >> t & 1:
                 # values above the running minimum cannot matter
-                flow = local_connectivity(g, s, t, limit=best)
-                if flow < best:
-                    best = flow
+                best = min(best, local_connectivity(g, s, t, limit=best))
+        s += 1
     return ConnectivityResult(best, _lex_min_cut(g, best))
 
 
@@ -224,7 +221,8 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if not is_connected(g):
         return False
-    for s in range(g.order):
+    # a separator of fewer than k vertices misses one of sources 0..k-1
+    for s in range(k):
         for t in range(s + 1, g.order):
             if not g.rows[s] >> t & 1:
                 if local_connectivity(g, s, t, limit=k) < k:

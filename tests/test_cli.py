@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import oremax.oracle
-from oremax import build_backbone, to_graph6
+from oremax import build_backbone, from_edges, to_graph6
 from oremax.cli import run
 
 
@@ -180,6 +180,26 @@ def test_bad_graph6_input_exits_2(capsys, monkeypatch):
     assert run(["check", "--k", "1"]) == 2
 
 
+def test_check_keeps_going_past_a_bad_line(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("C~\nbad\nC~\n"))
+    assert run(["check", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == ["C~\t4\t6\t1\t3\tfalse"] * 2
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("oremax: error: line 2: ")
+
+
+def test_check_exits_with_the_worst_line_code(capsys, monkeypatch):
+    k11 = from_edges(11, [(u, v) for u in range(11) for v in range(u + 1, 11)])
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO(f"bad\n{to_graph6(k11)}\nbad\nC~\n"))
+    assert run(["check", "--k", "1"]) == 4  # capacity outranks malformed
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 2
+    assert [line.split(": ")[2] for line in captured.err.splitlines()] == \
+        ["line 1", "line 2", "line 3"]
+
+
 def test_check_rejects_k_below_1_before_output(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("C?\n"))
     assert run(["check", "--k", "0"]) == 2
@@ -222,6 +242,12 @@ def _python(*args):
 
 def test_python_dash_m_runs_cli():
     done = _python("-m", "oremax", "formula", "--n", "6", "--k", "1",
+                   "--d", "4")
+    assert (done.returncode, done.stdout) == (0, "7\n")
+
+
+def test_python_dash_m_runs_cli_module():
+    done = _python("-m", "oremax.cli", "formula", "--n", "6", "--k", "1",
                    "--d", "4")
     assert (done.returncode, done.stdout) == (0, "7\n")
 

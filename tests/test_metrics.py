@@ -5,9 +5,10 @@ import pytest
 
 from bruteforce import (_connected_on, brute_min_separator,
                         brute_vertex_connectivity, fw_diameter, random_graph)
-from oremax import (DISCONNECTED, ConnectivityResult, ParameterError,
-                    bfs_layers, bits, build_backbone, diameter, empty_graph,
-                    from_edges, is_connected, is_k_connected,
+from oremax import (DISCONNECTED, ConnectivityResult, FamilyMemberSpec,
+                    ParameterError, Parameters, Side, bfs_layers, bits,
+                    build_backbone, build_family_member, diameter,
+                    empty_graph, from_edges, is_connected, is_k_connected,
                     layer_structure_check, local_connectivity,
                     vertex_connectivity)
 from oremax.metrics import induced_disconnected
@@ -111,6 +112,29 @@ def test_local_connectivity_matches_brute_separators():
                 seen += 1
 
 
+def test_local_connectivity_backs_over_a_loaded_vertex():
+    # the third 2-5 path is only found by an augmenting path that leaves
+    # a vertex's exit against its loaded split arc; random graphs of
+    # order <= 10 need that step about once in 20,000
+    g = from_edges(10, [(0, 2), (0, 4), (0, 7), (1, 4), (1, 5), (1, 6),
+                        (1, 9), (2, 3), (2, 6), (3, 9), (5, 6), (5, 8),
+                        (6, 8), (6, 9), (7, 8)])
+    assert local_connectivity(g, 2, 5) == brute_min_separator(g, 2, 5) == 3
+
+
+def test_local_connectivity_limit_caps_the_flow():
+    rng = random.Random(17)
+    for _ in range(80):
+        n = rng.randrange(2, 10)
+        g = random_graph(rng, n, rng.random())
+        for s, t in combinations(range(n), 2):
+            if not g.has_edge(s, t):
+                exact = brute_min_separator(g, s, t)
+                for limit in range(n + 1):
+                    assert local_connectivity(g, s, t, limit=limit) == \
+                        min(limit, exact)
+
+
 def test_induced_disconnected_matches_brute():
     rng = random.Random(34)
     for _ in range(300):
@@ -182,6 +206,49 @@ def test_is_k_connected():
     assert not is_k_connected(from_edges(3, [(0, 1)]), 1)
     with pytest.raises(ParameterError):
         is_k_connected(k_n(4), 0)
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3, 4])
+def test_separator_on_the_lowest_labels(kappa):
+    # two cliques joined through the clique {0, ..., kappa - 1}: the
+    # first kappa source rows all lie inside the only minimum cut
+    n = kappa + 3 + 4
+    left = range(kappa, kappa + 3)
+    g = from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
+                       if u < kappa or (u in left) == (v in left)])
+    assert vertex_connectivity(g) == ConnectivityResult(kappa, (1 << kappa) - 1)
+    assert is_k_connected(g, kappa)
+    assert not is_k_connected(g, kappa + 1)
+
+
+def _check_known_connectivity(g, kappa):
+    r = vertex_connectivity(g)
+    assert r.kappa == kappa
+    assert r.witness_cut.bit_count() == kappa
+    assert not _connected_on(g, (1 << g.order) - 1 & ~r.witness_cut)
+    assert is_k_connected(g, kappa)
+    assert not is_k_connected(g, kappa + 1)
+
+
+@pytest.mark.parametrize("n, k, d, window_len", [
+    (20, 1, 4, 3), (30, 2, 3, 3), (41, 3, 5, 3), (50, 4, 3, 3),
+    (62, 2, 6, 3), (24, 1, 8, 4), (37, 3, 4, 4), (62, 4, 5, 4),
+])
+def test_known_connectivity_of_large_family_members(n, k, d, window_len):
+    # windows start at block 2, so pole 0 keeps its k neighbours
+    p = Parameters(n, k, d)
+    first = p.outside_count // 2 if window_len == 4 else p.outside_count
+    sides = ((Side.FIRST_THREE,) * first
+             + (Side.LAST_THREE,) * (p.outside_count - first))
+    g, _ = build_family_member(p, FamilyMemberSpec(2, window_len, sides))
+    _check_known_connectivity(g, k)
+
+
+@pytest.mark.parametrize("a, b", [(1, 19), (30, 2), (3, 40), (4, 58),
+                                  (20, 3), (31, 31)])
+def test_known_connectivity_of_complete_bipartite(a, b):
+    g = from_edges(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+    _check_known_connectivity(g, min(a, b))
 
 
 def test_is_k_connected_matches_kappa_corpus():
