@@ -47,13 +47,9 @@ class Parameters:
     d: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError("k must be at least 1")
-        if self.d < 2:
-            raise ParameterError("d must be at least 2")
+        least = backbone_order(self.k, self.d)  # checks k, then d
         if self.n > MAX_ORDER:
             raise ParameterError(f"n must be at most {MAX_ORDER}")
-        least = backbone_order(self.k, self.d)
         if self.n < least:
             raise ParameterError(
                 f"n must be at least {least} for k={self.k}, d={self.d}")
@@ -172,7 +168,6 @@ def build_backbone(k: int, d: int) -> tuple[Graph, BlockMap]:
     Vertex layout: pole x = 0, middle blocks in order, pole y last.
     The result has diameter d and vertex connectivity k.
     """
-    _check_kd(k, d)
     order = backbone_order(k, d)
     if order > MAX_ORDER:
         raise CapacityError(f"backbone order {order} exceeds cap {MAX_ORDER}")
@@ -263,10 +258,11 @@ def enumerate_family(p: Parameters) -> list[Graph]:
 def is_extremal(g: Graph, k: int) -> bool:
     """True iff g attains the maximum size for its own order and diameter.
 
-    Checks connectivity level, exact size, and isomorphism with some
-    family member.  Instances outside the formula's domain (complete
-    graphs, disconnected graphs, order too small for the backbone)
-    return False rather than raising.
+    Checks exact size and isomorphism with some family member; every
+    member is k-connected, so connectivity follows from membership and
+    is not tested again.  Instances outside the formula's domain
+    (complete graphs, disconnected graphs, order too small for the
+    backbone) return False rather than raising.
     """
     check_canonical_order(g.order)
     if k < 1:
@@ -279,8 +275,6 @@ def is_extremal(g: Graph, k: int) -> bool:
     except ParameterError:
         return False
     if g.size != max_size_formula(p):
-        return False
-    if not is_k_connected(g, k):
         return False
     # enumerate_family already returns canonically labelled graphs
     return canonical_form(g).g6 in {to_graph6(m) for m in enumerate_family(p)}

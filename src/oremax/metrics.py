@@ -5,12 +5,13 @@ graphs, and vertex connectivity by Menger's theorem: the maximum number
 of internally disjoint paths between a non-adjacent pair equals the
 minimum separator size.  Each pair is a unit-capacity max flow on the
 vertex-split digraph, found by augmenting paths that step along the
-adjacency bitmask rows.  Even's bound keeps the pairs few: a separator
-of fewer than k vertices misses one of the vertices 0..k-1, so
-``is_k_connected`` only tries those k source rows, and
-``vertex_connectivity`` tries sources 0..kappa, O(kappa * n) flows in
-all.  Every other traversal over adjacency rows is a call to
-:func:`oremax.graphs.reach`.
+adjacency bitmask rows.  ``is_k_connected`` and ``vertex_connectivity``
+share one loop (Even's bound): it starts from the minimum degree and
+tries source rows 0, 1, ... only while the row is below the best value
+so far, which settles at kappa after rows 0..kappa-1 in the usual case
+and row kappa at worst, O(kappa * n) flows; ``is_k_connected`` stops at
+the first value below k.  Every other traversal over adjacency rows is
+a call to :func:`oremax.graphs.reach`.
 """
 
 from __future__ import annotations
@@ -187,47 +188,37 @@ def _lex_min_cut(g: Graph, kappa: int) -> int:
     raise AssertionError("no cut of the computed connectivity size")
 
 
+def _kappa(g: Graph, cap: int, exact: bool = True) -> int:
+    # min(kappa, cap), with kappa(K_n) = n - 1; no flow exceeds the
+    # minimum degree or order - 1.  A separator S smaller than best
+    # misses a row below best, and the least vertex outside S is cut by
+    # S from a later one.  Without ``exact``, stop once best < cap.
+    best = min(cap, g.order - 1, *map(int.bit_count, g.rows))
+    pairs = ((s, t) for s in range(g.order) for t in range(s + 1, g.order)
+             if not g.rows[s] >> t & 1)
+    for s, t in pairs:
+        if s >= best or (best < cap and not exact):
+            break
+        # values above the running minimum cannot matter
+        best = min(best, local_connectivity(g, s, t, limit=best))
+    return best
+
+
 def vertex_connectivity(g: Graph) -> ConnectivityResult:
     """Minimum separating set size; order - 1 for complete graphs."""
     if g.order == 0:
         raise ParameterError("connectivity undefined for order-0 graph")
-    if is_clique(g, range(g.order)):
-        return ConnectivityResult(g.order - 1, 0)
-    if not is_connected(g):
-        return ConnectivityResult(0, 0)
-    # A minimum separator S misses one of 0..kappa; the least vertex i
-    # outside S is cut by S from some later vertex, so the source rows
-    # 0..best (best >= kappa) hold a pair of value kappa.
-    best = g.order - 1
-    s = 0
-    while s <= best:
-        for t in range(s + 1, g.order):
-            if not g.rows[s] >> t & 1:
-                # values above the running minimum cannot matter
-                best = min(best, local_connectivity(g, s, t, limit=best))
-        s += 1
-    return ConnectivityResult(best, _lex_min_cut(g, best))
+    kappa = _kappa(g, g.order - 1)
+    if kappa == g.order - 1:
+        return ConnectivityResult(kappa, 0)
+    return ConnectivityResult(kappa, _lex_min_cut(g, kappa))
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff order > k and every separator has at least k vertices."""
     if k < 1:
         raise ParameterError("connectivity level must be at least 1")
-    if g.order <= k:
-        return False
-    if is_clique(g, range(g.order)):
-        return True
-    if min(row.bit_count() for row in g.rows) < k:
-        return False
-    if not is_connected(g):
-        return False
-    # a separator of fewer than k vertices misses one of sources 0..k-1
-    for s in range(k):
-        for t in range(s + 1, g.order):
-            if not g.rows[s] >> t & 1:
-                if local_connectivity(g, s, t, limit=k) < k:
-                    return False
-    return True
+    return _kappa(g, k, exact=False) == k
 
 
 def layer_structure_check(g: Graph, x: int, y: int, k: int) -> bool:

@@ -200,6 +200,19 @@ def test_check_exits_with_the_worst_line_code(capsys, monkeypatch):
         ["line 1", "line 2", "line 3"]
 
 
+def test_check_rejects_an_over_guard_line_before_any_flow(capsys,
+                                                        monkeypatch):
+    def no_flows(g):
+        raise AssertionError("vertex_connectivity ran")
+
+    p11 = from_edges(11, list(zip(range(10), range(1, 11))))
+    monkeypatch.setattr("oremax.cli.vertex_connectivity", no_flows)
+    monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(p11) + "\n"))
+    assert run(["check", "--k", "1"]) == 4
+    assert capsys.readouterr().err == \
+        "oremax: error: line 1: order 11 exceeds canonical-form guard 10\n"
+
+
 def test_check_rejects_k_below_1_before_output(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("C?\n"))
     assert run(["check", "--k", "0"]) == 2

@@ -6,8 +6,8 @@ from oremax import (CapacityError, FamilyMemberSpec, FormulaMode,
                     ParameterError, Parameters, Side, attachment_cap,
                     backbone_order, backbone_size, bfs_layers, bits,
                     build_backbone, build_family_member, canonical_form,
-                    diameter, enumerate_family, from_edges, is_clique,
-                    is_extremal, is_isomorphic, is_k_connected,
+                    diameter, enumerate_family, from_edges, from_graph6,
+                    is_clique, is_extremal, is_isomorphic, is_k_connected,
                     max_size_formula, to_graph6, vertex_connectivity)
 
 FIRST = Side.FIRST_THREE
@@ -35,14 +35,16 @@ def path(n):
 
 def test_parameters_validation():
     Parameters(6, 2, 3)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^k must be at least 1$"):
         Parameters(6, 0, 3)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^d must be at least 2$"):
         Parameters(6, 2, 1)
     with pytest.raises(ParameterError):
         Parameters(5, 2, 3)  # backbone alone needs 6 vertices
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^n must be at most 62$"):
         Parameters(63, 1, 2)
+    with pytest.raises(ParameterError, match="^k must be at least 1$"):
+        Parameters(63, 0, 2)  # k is checked before n
 
 
 def test_outside_count():
@@ -279,6 +281,12 @@ def test_is_extremal_negative():
     assert not is_extremal(k_n(4), 1)  # diameter 1 is out of domain
     assert not is_extremal(from_edges(4, [(0, 1)]), 1)  # disconnected
     assert not is_extremal(path(4), 2)  # not 2-connected
+    # a (7, 1, 3) family member: 15 edges and diameter 3 like the
+    # (7, 2, 3) maximum, but kappa = 1
+    g = from_graph6("FJ\\|w")
+    assert (g.size, diameter(g), vertex_connectivity(g).kappa) == (15, 3, 1)
+    assert is_extremal(g, 1)
+    assert not is_extremal(g, 2)
 
 
 def test_is_extremal_guard_and_validation():

@@ -11,6 +11,7 @@ from oremax import (DISCONNECTED, ConnectivityResult, FamilyMemberSpec,
                     empty_graph, from_edges, is_connected, is_k_connected,
                     layer_structure_check, local_connectivity,
                     vertex_connectivity)
+from oremax import metrics
 from oremax.metrics import induced_disconnected
 
 
@@ -24,6 +25,11 @@ def path(n):
 
 def cycle(n):
     return from_edges(n, list(zip(range(n), [*range(1, n), 0])))
+
+
+def two_k4():
+    return from_edges(8, [(u, v) for u, v in combinations(range(8), 2)
+                          if u // 4 == v // 4])
 
 
 # --- layers and diameter ----------------------------------------------------
@@ -151,6 +157,10 @@ def test_vertex_connectivity_basics():
     assert r.kappa == 1
     assert r.witness_cut == 0b0010  # vertex 1, the lex-least cut vertex
     assert vertex_connectivity(empty_graph(3)).kappa == 0
+    assert vertex_connectivity(empty_graph(2)) == ConnectivityResult(0, 0)
+    assert vertex_connectivity(k_n(2)) == ConnectivityResult(1, 0)
+    # minimum degree 3 but no path between the two cliques
+    assert vertex_connectivity(two_k4()) == ConnectivityResult(0, 0)
     t, _ = build_backbone(3, 4)
     assert vertex_connectivity(t).kappa == 3
     with pytest.raises(ParameterError):
@@ -204,8 +214,35 @@ def test_is_k_connected():
     assert not is_k_connected(path(4), 2)
     assert is_k_connected(cycle(5), 2)
     assert not is_k_connected(from_edges(3, [(0, 1)]), 1)
+    assert not is_k_connected(two_k4(), 1)
+    assert not is_k_connected(empty_graph(2), 1)
+    assert is_k_connected(k_n(2), 1)
+    assert not is_k_connected(k_n(2), 2)
+    assert not is_k_connected(empty_graph(0), 1)
     with pytest.raises(ParameterError):
         is_k_connected(k_n(4), 0)
+
+
+@pytest.mark.parametrize("kappa, g", [
+    (3, build_backbone(3, 4)[0]),
+    (3, from_edges(43, [(u, v) for u in range(3) for v in range(3, 43)])),
+])
+def test_flows_stay_below_the_source_row_bound(monkeypatch, kappa, g):
+    # once a flow of value kappa is found, row kappa is not tried
+    sources = []
+    inner = metrics.local_connectivity
+
+    def recording(h, s, t, **kwargs):
+        sources.append(s)
+        return inner(h, s, t, **kwargs)
+
+    monkeypatch.setattr(metrics, "local_connectivity", recording)
+    assert vertex_connectivity(g).kappa == kappa
+    assert sources and max(sources) < kappa
+    for k in range(1, kappa + 2):
+        sources.clear()
+        assert is_k_connected(g, k) == (k <= kappa)
+        assert all(s < k for s in sources)
 
 
 @pytest.mark.parametrize("kappa", [1, 2, 3, 4])
@@ -255,7 +292,7 @@ def test_is_k_connected_matches_kappa_corpus():
     rng = random.Random(99)
     for _ in range(100):
         g = random_graph(rng, rng.randrange(2, 8), rng.random())
-        kappa = vertex_connectivity(g).kappa
+        kappa = brute_vertex_connectivity(g)
         for k in range(1, g.order + 1):
             assert is_k_connected(g, k) == (g.order > k and kappa >= k)
 
