@@ -18,8 +18,8 @@ from .graphs import (CANONICAL_MAX_ORDER, MAX_ORDER, CanonicalForm, Graph,
                      is_clique, is_isomorphic, relabel, relabeling_codes,
                      to_dot, to_edge_list, to_graph6)
 from .metrics import (DISCONNECTED, ConnectivityResult, Disconnected,
-                      LayerProfile, bfs_layers, diameter, is_connected,
-                      is_k_connected, layer_structure_check,
+                      LayerProfile, bfs_layers, connectivity, diameter,
+                      is_connected, is_k_connected, layer_structure_check,
                       local_connectivity, vertex_connectivity)
 from .oracle import OracleReport, max_size_bruteforce, sweep, verify_theorem
 
@@ -30,13 +30,13 @@ __all__ = [
     "LayerProfile", "MAX_ORDER", "OracleReport", "ParameterError",
     "Parameters", "Side", "add_edge", "attachment_cap", "backbone_order",
     "backbone_size", "bfs_layers", "bit_code", "bits", "build_backbone",
-    "build_family_member", "canonical_form", "diameter", "empty_graph",
-    "enumerate_family", "from_bit_code", "from_edges", "from_graph6",
-    "induced_subgraph", "is_clique", "is_connected", "is_extremal",
-    "is_isomorphic", "is_k_connected", "layer_structure_check",
-    "local_connectivity", "max_size_bruteforce", "max_size_formula",
-    "relabel", "relabeling_codes", "sweep", "to_dot", "to_edge_list",
-    "to_graph6", "verify_theorem", "vertex_connectivity",
+    "build_family_member", "canonical_form", "connectivity", "diameter",
+    "empty_graph", "enumerate_family", "from_bit_code", "from_edges",
+    "from_graph6", "induced_subgraph", "is_clique", "is_connected",
+    "is_extremal", "is_isomorphic", "is_k_connected",
+    "layer_structure_check", "local_connectivity", "max_size_bruteforce",
+    "max_size_formula", "relabel", "relabeling_codes", "sweep", "to_dot",
+    "to_edge_list", "to_graph6", "verify_theorem", "vertex_connectivity",
 ]
 
 __version__ = "0.1.0"

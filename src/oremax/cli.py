@@ -17,7 +17,7 @@ from .errors import CapacityError, Graph6ParseError, ParameterError
 from .extremal import (FormulaMode, Parameters, build_backbone,
                        enumerate_family, is_extremal, max_size_formula)
 from .graphs import Graph, from_graph6, to_dot, to_edge_list, to_graph6
-from .metrics import DISCONNECTED, diameter, vertex_connectivity
+from .metrics import DISCONNECTED, connectivity, diameter
 from .oracle import OracleReport, max_size_bruteforce, sweep, verify_theorem
 
 
@@ -155,7 +155,7 @@ def _check_row(line: str, k: int) -> str:
     else:
         dia_text = str(dia)
         verdict = is_extremal(g, k)
-    kappa = vertex_connectivity(g).kappa
+    kappa = connectivity(g)
     return (f"{to_graph6(g)}\t{g.order}\t{g.size}\t{dia_text}\t{kappa}\t"
             f"{_bool_text(verdict)}")
 

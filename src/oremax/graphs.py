@@ -20,8 +20,10 @@ integer encoding produced by :func:`bit_code`.
 
 The package's only bitmask loops live here: :func:`bits` lists a mask's
 set bits, :func:`reach` floods breadth-first over adjacency rows (every
-BFS layering, connectedness test and oracle screen goes through it), and
-:func:`subset_masks` builds vertex-subset masks in lexicographic order.
+BFS layering, connectedness test and oracle screen goes through it),
+:func:`cut_vertices` finds the cut vertices of an induced subgraph by one
+depth-first search, and :func:`subset_masks` builds vertex-subset masks
+in lexicographic order.
 """
 
 from __future__ import annotations
@@ -131,6 +133,47 @@ def reach(rows: Sequence[int], seed: int, allowed: int = -1,
         reached |= frontier
         depth -= 1
     return reached, frontier
+
+
+def cut_vertices(rows: Sequence[int], keep: int) -> int:
+    """Mask of the cut vertices of the graph induced on ``keep``.
+
+    For a connected ``keep`` these are the vertices whose removal
+    disconnects it.  A depth-first search from the lowest vertex keeps,
+    for each vertex, the least depth its subtree reaches by one back
+    edge: a non-root u is a cut vertex iff some child's subtree reaches
+    no higher than u, and the root iff it has two children.
+    """
+    seen = root = keep & -keep
+    if not root:
+        return 0
+    stack = [root.bit_length() - 1]
+    depth = [0] * len(rows)
+    low = [0] * len(rows)
+    cuts = root_children = 0
+    while stack:
+        u = stack[-1]
+        todo = rows[u] & keep & ~seen
+        if todo:
+            low_bit = todo & -todo
+            w = low_bit.bit_length() - 1
+            depth[w] = len(stack)
+            # every neighbour seen before w is an ancestor of w
+            low[w] = min(depth[a] for a in bits(rows[w] & seen))
+            seen |= low_bit
+            stack.append(w)
+            continue
+        stack.pop()
+        if len(stack) > 1:
+            parent = stack[-1]
+            if low[u] >= depth[parent]:
+                cuts |= 1 << parent
+            low[parent] = min(low[parent], low[u])
+        elif stack:
+            root_children += 1
+    if root_children > 1:
+        cuts |= root
+    return cuts
 
 
 def subset_masks(order: int, size: int) -> Iterator[int]:

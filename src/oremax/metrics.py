@@ -5,13 +5,19 @@ graphs, and vertex connectivity by Menger's theorem: the maximum number
 of internally disjoint paths between a non-adjacent pair equals the
 minimum separator size.  Each pair is a unit-capacity max flow on the
 vertex-split digraph, found by augmenting paths that step along the
-adjacency bitmask rows.  ``is_k_connected`` and ``vertex_connectivity``
-share one loop (Even's bound): it starts from the minimum degree and
-tries source rows 0, 1, ... only while the row is below the best value
-so far, which settles at kappa after rows 0..kappa-1 in the usual case
-and row kappa at worst, O(kappa * n) flows; ``is_k_connected`` stops at
-the first value below k.  Every other traversal over adjacency rows is
-a call to :func:`oremax.graphs.reach`.
+adjacency bitmask rows.  ``connectivity`` and ``is_k_connected`` share
+one loop (Even's bound): after one BFS has ruled out a disconnected
+graph, it starts from the minimum degree and tries source rows 0, 1,
+... only while the row is below the best value so far, which settles at
+kappa after rows 0..kappa-1 in the usual case and row kappa at worst,
+O(kappa * n) flows; ``is_k_connected`` stops at the first value below
+k.  ``vertex_connectivity`` adds the lexicographically least minimum
+cut, chosen greedily one vertex at a time: each candidate costs one
+connectivity test of G minus the chosen vertices and it, and the least
+candidate at each position goes in, so at most n tests in all.  The
+last two positions are settled by cut vertices.  Every other traversal
+over adjacency rows is a call to :func:`oremax.graphs.reach` or
+:func:`oremax.graphs.cut_vertices`.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParameterError
-from .graphs import Graph, bits, is_clique, reach, subset_masks
+from .graphs import (Graph, bits, cut_vertices, induced_subgraph, is_clique,
+                     reach)
 
 
 class Disconnected:
@@ -178,22 +185,15 @@ def induced_disconnected(rows: Sequence[int], keep: int) -> bool:
     return reach(rows, keep & -keep, keep)[0] != keep
 
 
-def _lex_min_cut(g: Graph, kappa: int) -> int:
-    # subset_masks() follows lexicographic order, so the first
-    # disconnecting subset is the canonical witness.
-    full = (1 << g.order) - 1
-    for cut in subset_masks(g.order, kappa):
-        if induced_disconnected(g.rows, full & ~cut):
-            return cut
-    raise AssertionError("no cut of the computed connectivity size")
-
-
 def _kappa(g: Graph, cap: int, exact: bool = True) -> int:
     # min(kappa, cap), with kappa(K_n) = n - 1; no flow exceeds the
     # minimum degree or order - 1.  A separator S smaller than best
     # misses a row below best, and the least vertex outside S is cut by
-    # S from a later one.  Without ``exact``, stop once best < cap.
+    # S from a later one.  Without ``exact``, stop once best < cap.  A
+    # disconnected graph reads 0 after one BFS, with no flow.
     best = min(cap, g.order - 1, *map(int.bit_count, g.rows))
+    if best > 0 and reach(g.rows, 1)[0] != (1 << g.order) - 1:
+        return 0
     pairs = ((s, t) for s in range(g.order) for t in range(s + 1, g.order)
              if not g.rows[s] >> t & 1)
     for s, t in pairs:
@@ -204,11 +204,41 @@ def _kappa(g: Graph, cap: int, exact: bool = True) -> int:
     return best
 
 
-def vertex_connectivity(g: Graph) -> ConnectivityResult:
+def _lex_min_cut(g: Graph, kappa: int) -> int:
+    # One vertex at a time, least first: the next is the least v above
+    # the last for which some minimum cut holds the vertices chosen so
+    # far and v, that is, for which G minus them still has a cut of the
+    # c vertices left to choose (none smaller, or G would have a cut
+    # below kappa).  G minus them keeps at least c + 2 vertices, so a
+    # complete one reads c + 1 and fails the test.  No vertex below the
+    # last one chosen passes, or the cut would come earlier, so the last
+    # vertex is the least cut vertex of G minus the others.
+    keep = full = (1 << g.order) - 1
+    pick = 1
+    for c in range(kappa - 1, 0, -1):
+        while not (cut_vertices(g.rows, keep ^ pick) if c == 1 else
+                   _kappa(induced_subgraph(g, bits(keep ^ pick)), c + 1,
+                          exact=False) <= c):
+            pick <<= 1
+        keep ^= pick
+        pick <<= 1
+    if kappa:
+        cuts = cut_vertices(g.rows, keep)
+        keep ^= cuts & -cuts
+    return full ^ keep
+
+
+def connectivity(g: Graph) -> int:
     """Minimum separating set size; order - 1 for complete graphs."""
     if g.order == 0:
         raise ParameterError("connectivity undefined for order-0 graph")
-    kappa = _kappa(g, g.order - 1)
+    return _kappa(g, g.order - 1)
+
+
+def vertex_connectivity(g: Graph) -> ConnectivityResult:
+    """Minimum separating set size (order - 1 for complete graphs) and
+    the lexicographically least minimum cut."""
+    kappa = connectivity(g)
     if kappa == g.order - 1:
         return ConnectivityResult(kappa, 0)
     return ConnectivityResult(kappa, _lex_min_cut(g, kappa))

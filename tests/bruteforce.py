@@ -68,6 +68,19 @@ def brute_vertex_connectivity(g: Graph) -> int:
     raise AssertionError("non-complete graph with no separating subset")
 
 
+def brute_lex_min_cut(g: Graph, kappa: int) -> int:
+    """First kappa-vertex cut in the lexicographic order of sorted vertex
+    tuples (0 for kappa = 0 on a disconnected graph)."""
+    full = (1 << g.order) - 1
+    for cut in combinations(range(g.order), kappa):
+        mask = 0
+        for v in cut:
+            mask |= 1 << v
+        if not _connected_on(g, full & ~mask):
+            return mask
+    raise AssertionError("no separating subset of the given size")
+
+
 def _st_connected(g: Graph, s: int, t: int, removed: int) -> bool:
     seen = 1 << s
     stack = [s]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import oremax.oracle
-from oremax import build_backbone, from_edges, to_graph6
+from oremax import bits, build_backbone, from_edges, from_graph6, to_graph6
 from oremax.cli import run
 
 
@@ -202,15 +202,39 @@ def test_check_exits_with_the_worst_line_code(capsys, monkeypatch):
 
 def test_check_rejects_an_over_guard_line_before_any_flow(capsys,
                                                         monkeypatch):
-    def no_flows(g):
-        raise AssertionError("vertex_connectivity ran")
+    def no_flows(*args, **kwargs):
+        raise AssertionError("a flow ran")
 
     p11 = from_edges(11, list(zip(range(10), range(1, 11))))
-    monkeypatch.setattr("oremax.cli.vertex_connectivity", no_flows)
+    monkeypatch.setattr("oremax.metrics.local_connectivity", no_flows)
     monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(p11) + "\n"))
     assert run(["check", "--k", "1"]) == 4
     assert capsys.readouterr().err == \
         "oremax: error: line 1: order 11 exceeds canonical-form guard 10\n"
+
+
+def _first_edge_deleted(text):
+    g = from_graph6(text)
+    edges = [(u, v) for u in range(g.order) for v in bits(g.rows[u]) if u < v]
+    return to_graph6(from_edges(g.order, edges[1:]))
+
+
+@pytest.mark.parametrize("n, k, d", [(9, 2, 3), (9, 3, 2), (9, 2, 4)])
+def test_check_builds_no_witness_cut(capsys, monkeypatch, n, k, d):
+    # check prints kappa alone, so no witness search may run
+    def no_witness(g, kappa):
+        raise AssertionError("witness cut searched")
+
+    assert run(["family", "--n", str(n), "--k", str(k), "--d", str(d)]) == 0
+    members = lines_of(capsys)
+    lines = "\n".join(members + [_first_edge_deleted(m) for m in members])
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    assert run(["check", "--k", str(k)]) == 0
+    expect = capsys.readouterr().out
+    monkeypatch.setattr("oremax.metrics._lex_min_cut", no_witness)
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    assert run(["check", "--k", str(k)]) == 0
+    assert capsys.readouterr().out == expect
 
 
 def test_check_rejects_k_below_1_before_output(capsys, monkeypatch):

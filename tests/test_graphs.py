@@ -12,7 +12,7 @@ from oremax import (CANONICAL_MAX_ORDER, CapacityError, Graph,
                     from_bit_code, from_edges, from_graph6, induced_subgraph,
                     is_clique, is_isomorphic, relabel, relabeling_codes,
                     to_dot, to_edge_list, to_graph6)
-from oremax.graphs import reach, subset_masks
+from oremax.graphs import cut_vertices, reach, subset_masks
 
 
 def k_n(n):
@@ -169,6 +169,22 @@ def test_reach_within_allowed_matches_induced_connectivity():
         reached, frontier = reach(g.rows, keep & -keep, keep)
         assert (reached == keep) == _connected_on(g, keep)
         assert frontier == 0
+
+
+def test_cut_vertices_match_brute_removal():
+    rng = random.Random(45)
+    checked = 0
+    while checked < 400:
+        n = rng.randrange(1, 11)
+        g = random_graph(rng, n, rng.random())
+        keep = rng.randrange(1, 1 << n)
+        if not _connected_on(g, keep):
+            continue
+        expect = sum(1 << v for v in bits(keep)
+                     if not _connected_on(g, keep & ~(1 << v)))
+        assert cut_vertices(g.rows, keep) == expect
+        checked += 1
+    assert cut_vertices(path(5).rows, 0) == 0
 
 
 def test_subset_masks_follow_combinations_order():

@@ -3,14 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from bruteforce import (_connected_on, brute_min_separator,
+from bruteforce import (_connected_on, brute_lex_min_cut, brute_min_separator,
                         brute_vertex_connectivity, fw_diameter, random_graph)
 from oremax import (DISCONNECTED, ConnectivityResult, FamilyMemberSpec,
                     ParameterError, Parameters, Side, bfs_layers, bits,
-                    build_backbone, build_family_member, diameter,
-                    empty_graph, from_edges, is_connected, is_k_connected,
-                    layer_structure_check, local_connectivity,
-                    vertex_connectivity)
+                    build_backbone, build_family_member, connectivity,
+                    diameter, empty_graph, from_edges, is_connected,
+                    is_k_connected, layer_structure_check,
+                    local_connectivity, vertex_connectivity)
 from oremax import metrics
 from oremax.metrics import induced_disconnected
 
@@ -206,6 +206,63 @@ def test_witness_cut_is_lexicographically_least():
     c4 = cycle(4)
     assert vertex_connectivity(c4).kappa == 2
     assert vertex_connectivity(c4).witness_cut == (1 << 0 | 1 << 2)
+
+
+def test_witness_matches_the_subset_scan():
+    rng = random.Random(19)
+    kappas = set()
+    for _ in range(600):
+        n = rng.randrange(2, 10)
+        g = random_graph(rng, n, 1 - rng.random() ** 2)
+        r = vertex_connectivity(g)
+        assert r.kappa == connectivity(g) == brute_vertex_connectivity(g)
+        if r.kappa < n - 1:
+            assert r.witness_cut == brute_lex_min_cut(g, r.kappa)
+            kappas.add(r.kappa)
+    assert kappas == set(range(8))
+
+
+def _complete_bipartite(a, b):
+    # the b-vertex side takes the labels a..a+b-1
+    return from_edges(a + b, [(u, v) for u in range(a)
+                              for v in range(a, a + b)])
+
+
+@pytest.mark.parametrize("g, kappa, witness", [
+    (_complete_bipartite(21, 9), 9, ((1 << 9) - 1) << 21),
+    (_complete_bipartite(58, 4), 4, ((1 << 4) - 1) << 58),
+    # G(30, 1/2); this witness was found by the C(30, 9) subset scan
+    (random_graph(random.Random(2), 30, 0.5), 9, 144998684),
+], ids=["K(21,9)", "K(58,4)", "G(30,1/2)"])
+def test_witness_is_polynomial(monkeypatch, g, kappa, witness):
+    # the subset scan needs about 14.3 million checks on K(21, 9)
+    calls = 0
+
+    def capped(fn):
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            assert calls <= 20_000, "exponential witness search"
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("induced_disconnected", "local_connectivity"):
+        monkeypatch.setattr(metrics, name, capped(getattr(metrics, name)))
+    assert vertex_connectivity(g) == ConnectivityResult(kappa, witness)
+
+
+@pytest.mark.parametrize("g", [
+    two_k4(),
+    from_edges(6, [(u, v) for u, v in combinations(range(5), 2)]),
+], ids=["two K4", "K5 and an isolated top vertex"])
+def test_disconnected_graph_runs_no_flow(monkeypatch, g):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("flow on a disconnected graph")
+
+    monkeypatch.setattr(metrics, "local_connectivity", no_flow)
+    assert vertex_connectivity(g) == ConnectivityResult(0, 0)
+    for k in range(1, g.order + 1):
+        assert not is_k_connected(g, k)
 
 
 def test_is_k_connected():
