@@ -257,6 +257,9 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    if sys.stdin is not None:
+        # decoded as --input files are, so a bad byte is a bad line
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     sys.exit(run(sys.argv[1:]))
 
 

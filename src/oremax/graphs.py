@@ -16,7 +16,11 @@ adjacency cells are ordered column by column,
     (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...
 
 and the first cell in that list is the most significant bit of the
-integer encoding produced by :func:`bit_code`.
+integer encoding produced by :func:`bit_code`.  A graph6 line is that
+integer in six-bit groups: the order byte, then the bit code
+zero-padded on the right to a multiple of six bits, each group offset
+by 63.  Only :func:`bit_code` and :func:`from_bit_code` convert between
+that cell order and adjacency rows.
 
 The package's only bitmask loops live here: :func:`bits` lists a mask's
 set bits, :func:`reach` floods breadth-first over adjacency rows (every
@@ -279,11 +283,9 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
 
 def bit_code(g: Graph) -> int:
     """Upper-triangle adjacency as an integer; cell (0,1) is the top bit."""
-    code = 0
-    for j in range(1, g.order):
-        for i in range(j):
-            code = code << 1 | (g.rows[i] >> j & 1)
-    return code
+    # column j is row j's low j bits, vertex 0 first
+    return int("".join(f"{row:0{g.order}b}"[::-1][:j]
+                       for j, row in enumerate(g.rows)) or "0", 2)
 
 
 def from_bit_code(order: int, code: int) -> Graph:
@@ -291,15 +293,13 @@ def from_bit_code(order: int, code: int) -> Graph:
     n_cells = order * (order - 1) // 2
     if code < 0 or code >> n_cells:
         raise ParameterError(f"code out of range for order {order}")
-    rows = [0] * order
-    pos = n_cells
-    for j in range(1, order):
-        for i in range(j):
-            pos -= 1
-            if code >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(order, tuple(rows))
+    text = f"{code:0{n_cells}b}"
+    # column j, vertex 0 first, widened to a row; the transpose of these
+    # lower-triangle rows is the upper triangle
+    cols = [text[j * (j - 1) // 2:j * (j + 1) // 2].ljust(order, "0")
+            for j in range(order)]
+    return Graph(order, tuple(int(col[::-1], 2) | int("".join(up)[::-1], 2)
+                              for col, up in zip(cols, zip(*cols))))
 
 
 def check_canonical_order(order: int) -> None:
@@ -354,7 +354,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """
     check_canonical_order(g.order)
     (best,) = _order_codes(g, least=True)
-    return CanonicalForm(to_graph6(from_bit_code(g.order, best)))
+    return CanonicalForm(_graph6(g.order, best))
 
 
 def relabeling_codes(g: Graph) -> set[int]:
@@ -372,24 +372,20 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 # serialization
 
 
+def _graph6(order: int, code: int) -> str:
+    n_cells = order * (order - 1) // 2
+    pad = -n_cells % 6
+    code <<= pad
+    return chr(63 + order) + "".join(
+        chr(63 + (code >> shift & 63))
+        for shift in range(n_cells + pad - 6, -1, -6))
+
+
 def to_graph6(g: Graph) -> str:
     """graph6 line for ``g`` (no ``>>graph6<<`` header)."""
     if g.order > MAX_ORDER:
         raise CapacityError(f"graph6 supports order <= {MAX_ORDER}")
-    out = [chr(63 + g.order)]
-    buf = 0
-    nbits = 0
-    for j in range(1, g.order):
-        for i in range(j):
-            buf = buf << 1 | (g.rows[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + buf))
-                buf = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (buf << (6 - nbits))))
-    return "".join(out)
+    return _graph6(g.order, bit_code(g))
 
 
 def from_graph6(text: str | bytes) -> Graph:
@@ -421,45 +417,32 @@ def from_graph6(text: str | bytes) -> Graph:
     if len(data) > need:
         raise Graph6ParseError("trailing bytes after adjacency data",
                                base + 1 + need)
-    rows = [0] * order
-    cells = pair_list(order)
-    pos = 0
+    code = 0
     for ofs, ch in enumerate(data):
         group = ord(ch) - 63
         if not 0 <= group < 64:
             raise Graph6ParseError(f"byte {ch!r} outside graph6 range",
                                    base + 1 + ofs)
-        for b in range(5, -1, -1):
-            bit = group >> b & 1
-            if pos < n_cells:
-                if bit:
-                    i, j = cells[pos]
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-            elif bit:
-                raise Graph6ParseError("non-zero padding bits", base + 1 + ofs)
-            pos += 1
-    return Graph(order, tuple(rows))
+        code = code << 6 | group
+    pad = 6 * need - n_cells
+    if code & ((1 << pad) - 1):  # padding lies in the last byte
+        raise Graph6ParseError("non-zero padding bits", base + need)
+    return from_bit_code(order, code >> pad)
+
+
+def _edges(g: Graph) -> Iterator[tuple[int, int]]:
+    # every edge (u, v) with u < v, sorted
+    for u, row in enumerate(g.rows):
+        for v in bits(row >> (u + 1) << (u + 1)):
+            yield u, v
 
 
 def to_edge_list(g: Graph) -> str:
     """One ``u v`` pair per line with u < v, sorted; empty string if no edges."""
-    lines = []
-    for u in range(g.order):
-        m = g.rows[u] >> (u + 1) << (u + 1)
-        for v in bits(m):
-            lines.append(f"{u} {v}")
-    return "\n".join(lines)
+    return "\n".join(f"{u} {v}" for u, v in _edges(g))
 
 
 def to_dot(g: Graph) -> str:
     """Deterministic DOT text; every vertex declared, edges sorted."""
-    lines = ["graph g {"]
-    for v in range(g.order):
-        lines.append(f"  {v};")
-    for u in range(g.order):
-        m = g.rows[u] >> (u + 1) << (u + 1)
-        for v in bits(m):
-            lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines)
+    return "\n".join(["graph g {", *(f"  {v};" for v in range(g.order)),
+                      *(f"  {u} -- {v};" for u, v in _edges(g)), "}"])

@@ -114,13 +114,9 @@ def diameter(g: Graph) -> int | Disconnected:
     """Greatest distance between two vertices, or DISCONNECTED."""
     if g.order == 0:
         raise ParameterError("diameter undefined for order-0 graph")
-    first = bfs_layers(g, 0)
-    if first.reached() != (1 << g.order) - 1:
+    if not is_connected(g):
         return DISCONNECTED
-    ecc = first.eccentricity
-    for v in range(1, g.order):
-        ecc = max(ecc, bfs_layers(g, v).eccentricity)
-    return ecc
+    return max(bfs_layers(g, v).eccentricity for v in range(g.order))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +188,7 @@ def _kappa(g: Graph, cap: int, exact: bool = True) -> int:
     # S from a later one.  Without ``exact``, stop once best < cap.  A
     # disconnected graph reads 0 after one BFS, with no flow.
     best = min(cap, g.order - 1, *map(int.bit_count, g.rows))
-    if best > 0 and reach(g.rows, 1)[0] != (1 << g.order) - 1:
+    if best > 0 and not is_connected(g):
         return 0
     pairs = ((s, t) for s in range(g.order) for t in range(s + 1, g.order)
              if not g.rows[s] >> t & 1)

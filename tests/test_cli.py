@@ -268,13 +268,15 @@ def test_help_exits_0(capsys):
 # --- fresh interpreters -----------------------------------------------------
 
 
-def _python(*args):
+def _python(*args, stdin=None, **env):
+    # stdin goes out as UTF-8 with surrogateescape: "\udcff" is byte 0xff
     src = str(Path(oremax.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
+    env = {**os.environ, **env,
            "PYTHONPATH": src if not path else src + os.pathsep + path}
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, input=stdin,
+                          capture_output=True, encoding="utf-8",
+                          errors="surrogateescape", timeout=60)
 
 
 def test_python_dash_m_runs_cli():
@@ -293,3 +295,12 @@ def test_import_pulls_in_no_numpy():
     done = _python("-c", "import oremax, sys; "
                          "assert 'numpy' not in sys.modules")
     assert done.returncode == 0, done.stderr
+
+
+def test_check_reads_a_non_utf8_stdin_byte_as_a_bad_line():
+    done = _python("-m", "oremax", "check", "--k", "1",
+                   stdin="C~\n\udcff\nC~\n",
+                   PYTHONIOENCODING="utf-8:strict")
+    assert done.returncode == 2, done.stderr
+    assert len(done.stdout.splitlines()) == 3  # header and two rows
+    assert done.stderr.startswith("oremax: error: line 2: ")

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import networkx as nx
@@ -6,7 +7,7 @@ import pytest
 
 from bruteforce import (_connected_on, fw_distances, random_graph,
                         ref_canonical_code)
-from oremax import (CANONICAL_MAX_ORDER, CapacityError, Graph,
+from oremax import (CANONICAL_MAX_ORDER, MAX_ORDER, CapacityError, Graph,
                     Graph6ParseError, ParameterError, add_edge, bit_code,
                     bits, build_backbone, canonical_form, empty_graph,
                     from_bit_code, from_edges, from_graph6, induced_subgraph,
@@ -267,9 +268,9 @@ def test_relabeling_codes_is_full_orbit():
 
 def test_bit_code_round_trip():
     rng = random.Random(12)
-    for _ in range(80):
-        n = rng.randrange(0, 9)
-        g = random_graph(rng, n)
+    for n in [*(rng.randrange(0, 9) for _ in range(80)),
+              *range(9, MAX_ORDER + 1)]:
+        g = random_graph(rng, n, rng.random())
         assert from_bit_code(n, bit_code(g)) == g
     with pytest.raises(ParameterError):
         from_bit_code(3, 8)  # only 3 cells
@@ -287,9 +288,12 @@ def test_graph6_known_bytes():
 
 def test_graph6_matches_networkx():
     rng = random.Random(404)
-    for _ in range(60):
-        n = rng.randrange(0, 9)
-        g = random_graph(rng, n)
+    orders = [*(rng.randrange(0, 9) for _ in range(60)),
+              *range(9, MAX_ORDER + 1)]
+    # every padding width: n(n-1)/2 takes only these residues mod 6
+    assert {n * (n - 1) // 2 % 6 for n in orders} == {0, 1, 3, 4}
+    for n in orders:
+        g = random_graph(rng, n, rng.random())
         ref = nx.Graph()
         ref.add_nodes_from(range(n))
         ref.add_edges_from((u, v) for u in range(n) for v in bits(g.rows[u])
@@ -311,30 +315,26 @@ def test_graph6_header_accepted():
 
 
 def test_graph6_parse_errors():
-    with pytest.raises(Graph6ParseError) as err:
-        from_graph6("")
-    assert err.value.offset == 0
-    with pytest.raises(Graph6ParseError) as err:
-        from_graph6(">>graph6<<")
-    assert err.value.offset == 10
-    with pytest.raises(Graph6ParseError):
-        from_graph6("~??")  # multi-byte order form unsupported
-    with pytest.raises(Graph6ParseError) as err:
-        from_graph6("B")  # truncated data
-    assert err.value.offset == 1
-    with pytest.raises(Graph6ParseError) as err:
-        from_graph6("A_o")  # extra byte
-    assert err.value.offset == 2
-    with pytest.raises(Graph6ParseError) as err:
-        from_graph6("A" + chr(62))  # below printable graph6 range
-    assert err.value.offset == 1
-    with pytest.raises(Graph6ParseError) as err:
-        from_graph6("Ao")  # non-zero padding bit
-    assert err.value.offset == 1
-    with pytest.raises(Graph6ParseError):
-        from_graph6(chr(127) + "x")  # order byte past 62
-    with pytest.raises(Graph6ParseError):
-        from_graph6(b"A\xff")
+    line62 = to_graph6(random_graph(random.Random(62), 62))
+    cases = [
+        ("", "missing order byte", 0),
+        (">>graph6<<", "missing order byte", 10),
+        ("~??", "multi-byte order not supported (order > 62)", 0),
+        ("B", "truncated: expected 1 data bytes, got 0", 1),
+        ("A_o", "trailing bytes after adjacency data", 2),
+        ("A" + chr(62), "byte '>' outside graph6 range", 1),
+        ("Ao", "non-zero padding bits", 1),
+        ("Bx", "non-zero padding bits", 1),  # three padding bits, last set
+        (chr(127) + "x", "invalid order byte '\\x7f'", 0),
+        (b"A\xff", "non-ASCII byte", 1),
+        (line62[:100] + chr(127) + line62[101:],
+         "byte '\\x7f' outside graph6 range", 100),
+    ]
+    for text, message, offset in cases:
+        with pytest.raises(Graph6ParseError, match=re.escape(
+                f"{message} (byte offset {offset})")) as err:
+            from_graph6(text)
+        assert err.value.offset == offset
 
 
 # --- text formats -----------------------------------------------------------
