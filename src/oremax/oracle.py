@@ -2,14 +2,25 @@
 
 Independently recomputes the maximum size over all simple graphs with a
 given order, exact diameter, and connectivity level, then compares the
-answer against the closed-form modes and the generated family.  The
-search walks complements in ascending size: maximum-size graphs are
-near-complete, so removing edges from the complete graph one level at a
-time reaches the answer after a handful of levels, and the first
-feasible level is provably the maximum.
+answer against the closed-form modes and the generated family.
 
-Everything is guarded: order 8, and a candidate budget that aborts
-loudly instead of truncating silently.
+The search climbs down from the complete graph one edge at a time and
+keeps, at each level, one graph per isomorphism class of the *alive*
+graphs: those with connectivity >= k and diameter <= d.  Both
+conditions survive adding an edge, so every graph between K_n and a
+maximizer is alive, and deleting each edge of every alive class reaches
+every alive class of the next level.  The first level that holds an
+alive class of diameter exactly d therefore gives the maximum, and its
+exact-d classes are the maximizers.  Swapping twins is an automorphism,
+so one edge per pair of twin classes is deleted.
+
+The labelled scan (``_search``: every complement of each size, in
+ascending size, with orbit dedup by ``_dedup_canonical``) shares no
+search code with the climb.  It stays as the tests' independent
+referee.
+
+Everything is guarded: order 8, and a budget on edge deletions that
+aborts loudly before a level instead of truncating silently.
 """
 
 from __future__ import annotations
@@ -22,8 +33,9 @@ from math import comb
 from .errors import BudgetError, CapacityError
 from .extremal import (FormulaMode, Parameters, enumerate_family,
                        max_size_formula)
-from .graphs import (from_bit_code, from_graph6, pair_list, reach,
-                     relabeling_codes, subset_masks, to_graph6)
+from .graphs import (Graph, bit_code, bits, canonical_form, from_bit_code,
+                     from_graph6, pair_list, reach, relabeling_codes,
+                     subset_masks, to_graph6)
 from .metrics import diameter, induced_disconnected, is_k_connected
 
 DEFAULT_ORDER_GUARD = 8
@@ -177,21 +189,104 @@ def _dedup_canonical(n: int, codes: list[int]) -> list[str]:
     return sorted(out)
 
 
+def _alive(rows: tuple[int, ...], d: int, full: int,
+           cut_masks: list[int]) -> bool | None:
+    """None unless the graph is alive; else whether its diameter is d.
+
+    Alive means diameter <= d (one depth-d flood per vertex) and, for a
+    graph that is not complete, connectivity >= k: no mask of
+    ``_cut_masks(n, k)`` disconnects it.
+    """
+    exact = False
+    for v in range(len(rows)):
+        reached, at_d = reach(rows, 1 << v, depth=d)
+        if reached != full:
+            return None
+        exact = exact or bool(at_d)
+    for cut in cut_masks:
+        if induced_disconnected(rows, full & ~cut):
+            return None
+    return exact
+
+
+def _deletions(rows: tuple[int, ...]) -> list[tuple[int, int]]:
+    """One edge per pair of twin classes joined by an edge.
+
+    Twins have equal neighbourhoods apart from each other, so swapping
+    two is an automorphism: every edge between two classes, or inside
+    one, is deleted to the same child up to isomorphism.  The edge kept
+    joins the least vertices of the two classes, or the two least of
+    one class.
+    """
+    n = len(rows)
+    earlier = [sum(1 << u for u in range(v)
+                   if rows[u] & ~(1 << v) == rows[v] & ~(1 << u))
+               for v in range(n)]
+    return [(u, v) for v in range(n) for u in bits(rows[v] & ((1 << v) - 1))
+            if not earlier[u] and earlier[v] in (0, 1 << u)]
+
+
+def _climb(n: int, k: int, d: int,
+           budget: int) -> tuple[int | None, list[str]]:
+    """Descend from K_n through the alive classes, one edge per level.
+
+    Returns the maximum size and the sorted canonical graph6 strings of
+    the maximizers, or (None, []) once no alive class is left.
+    ``budget`` caps the edge deletions tried; a level that would pass
+    it raises BudgetError before any of its deletions.
+    """
+    full = (1 << n) - 1
+    cut_masks = _cut_masks(n, k)
+    top = tuple(full ^ 1 << v for v in range(n))
+    # labelled graph -> _alive verdict; K_n is alive iff n - 1 >= k
+    verdicts = {top: _alive(top, d, full, cut_masks)} if n > k else {}
+    removed = used = 0
+    while True:
+        # only a level without an exact-d graph is canonicalised whole
+        winners = {canonical_form(Graph(n, rows)).g6
+                   for rows, hit in verdicts.items() if hit}
+        if winners:
+            return n * (n - 1) // 2 - removed, sorted(winners)
+        level = {canonical_form(Graph(n, rows)).g6: rows
+                 for rows, hit in verdicts.items() if hit is False}
+        if not level:
+            return None, []
+        moves = [(rows, _deletions(rows)) for rows in level.values()]
+        removed += 1
+        used += sum(len(edges) for _, edges in moves)
+        if used > budget:
+            raise BudgetError(f"level {removed} would push the climb past "
+                              f"{budget} edge deletions")
+        verdicts = {}
+        for rows, edges in moves:
+            for u, v in edges:
+                child = list(rows)
+                child[u] ^= 1 << v
+                child[v] ^= 1 << u
+                child = tuple(child)
+                if child not in verdicts:
+                    verdicts[child] = _alive(child, d, full, cut_masks)
+
+
 def max_size_bruteforce(p: Parameters, *,
                         budget: int = DEFAULT_BUDGET) -> OracleReport:
-    """Exact maximum size and all maximizers up to isomorphism."""
+    """Exact maximum size and all maximizers up to isomorphism.
+
+    ``budget`` caps the edge deletions tried on alive classes.
+    """
     if p.n > DEFAULT_ORDER_GUARD:
         raise CapacityError(
             f"order {p.n} exceeds search guard {DEFAULT_ORDER_GUARD}")
     start = time.perf_counter()
-    max_size, codes = _search(p.n, p.k, p.d, budget)
-    extremal = tuple(_dedup_canonical(p.n, codes))
+    max_size, extremal = _climb(p.n, p.k, p.d, budget)
     for text in extremal:
         g = from_graph6(text)
+        # the least code of the orbit, as _dedup_canonical prints it
         if (g.size != max_size or diameter(g) != p.d
-                or not is_k_connected(g, p.k)):
+                or not is_k_connected(g, p.k)
+                or bit_code(g) != min(relabeling_codes(g))):
             raise RuntimeError(f"search accepted an invalid graph {text}")
-    return OracleReport(params=p, max_size=max_size, extremal=extremal,
+    return OracleReport(params=p, max_size=max_size, extremal=tuple(extremal),
                         elapsed=time.perf_counter() - start)
 
 

@@ -1,16 +1,23 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from bruteforce import random_graph
-from oremax import (BudgetError, CapacityError, Parameters, bfs_layers,
-                    diameter, enumerate_family, from_graph6, is_isomorphic,
-                    is_k_connected, layer_structure_check,
-                    max_size_bruteforce, sweep, to_graph6, verify_theorem)
-from oremax.graphs import bit_code, from_edges
-from oremax.oracle import (_candidate_ok, _cut_masks, _dedup_canonical,
-                           _scan_level, _search)
+from bruteforce import (brute_vertex_connectivity, fw_diameter, random_graph,
+                        ref_canonical_code)
+from oremax import (DISCONNECTED, BudgetError, CapacityError, Parameters,
+                    bfs_layers, canonical_form, diameter, enumerate_family,
+                    from_graph6, is_isomorphic, is_k_connected,
+                    layer_structure_check, max_size_bruteforce, sweep,
+                    to_graph6, verify_theorem)
+from oremax.graphs import bit_code, from_edges, pair_list
+from oremax.oracle import (_alive, _candidate_ok, _climb, _cut_masks,
+                           _dedup_canonical, _deletions, _scan_level, _search)
+
+#: every (n, k, d) that ``sweep(7)`` verifies
+SWEEP_7 = [(n, k, d) for n in range(3, 8) for k in range(1, 8)
+           for d in range(2, 8) if n >= k * d - k + 2]
 
 
 def test_candidate_ok_equals_public_invariants():
@@ -27,6 +34,42 @@ def test_candidate_ok_equals_public_invariants():
                             _cut_masks(n, k))
         want = diameter(g) == d and is_k_connected(g, k)
         assert got == want, (to_graph6(g), k, d)
+
+
+def test_alive_screen_equals_public_invariants():
+    # alive: kappa >= k and diameter <= d; the verdict says diameter == d
+    rng = random.Random(3141)
+    for _ in range(250):
+        n = rng.randrange(4, 8)
+        g = random_graph(rng, n, rng.random())
+        k = rng.randrange(1, min(3, n - 1) + 1)
+        d = rng.randrange(2, 5)
+        got = _alive(g.rows, d, (1 << n) - 1, _cut_masks(n, k))
+        dia = diameter(g)
+        if dia is DISCONNECTED or dia > d or not is_k_connected(g, k):
+            assert got is None, (to_graph6(g), k, d)
+        else:
+            assert got == (dia == d), (to_graph6(g), k, d)
+
+
+def test_twin_deletions_reach_every_child_class():
+    # one edge per pair of twin classes gives the same child classes as
+    # deleting every edge
+    rng = random.Random(1618)
+    for _ in range(150):
+        n = rng.randrange(3, 8)
+        g = random_graph(rng, n, rng.choice([0.5, 0.8, 0.95]))
+
+        def child(u, v):
+            return canonical_form(from_edges(
+                n, [e for e in pair_list(n)
+                    if g.has_edge(*e) and e != (u, v)]))
+
+        edges = [e for e in pair_list(n) if g.has_edge(*e)]
+        kept = _deletions(g.rows)
+        assert set(kept) <= set(edges)
+        assert {child(u, v) for u, v in kept} == {
+            child(u, v) for u, v in edges}, to_graph6(g)
 
 
 def test_bruteforce_smallest_instances():
@@ -56,8 +99,7 @@ def test_extremal_lists_are_canonical_and_sorted():
         assert g.order == 6 and g.size == r.max_size
         assert diameter(g) == 4
         assert is_k_connected(g, 1)
-        # canonical representative: re-encoding is a fixed point
-        assert to_graph6(g) == text
+        assert canonical_form(g).g6 == text
 
 
 def test_guards():
@@ -67,10 +109,51 @@ def test_guards():
         max_size_bruteforce(Parameters(6, 2, 3), budget=10)
 
 
+def test_budget_counts_edge_deletions():
+    # (6,2,3) tries 82 edge deletions on alive classes over levels 1..5
+    r = max_size_bruteforce(Parameters(6, 2, 3), budget=82)
+    assert r.max_size == 10
+    with pytest.raises(BudgetError, match="level 5 "):
+        max_size_bruteforce(Parameters(6, 2, 3), budget=81)
+
+
 def test_infeasible_search_path():
     # no graph on 3 vertices has diameter 3; unreachable through
     # Parameters, so exercised on the raw search
     assert _search(3, 1, 3, budget=10**6) == (None, [])
+
+
+def test_infeasible_climb():
+    assert _climb(3, 1, 3, budget=10**6) == (None, [])
+
+
+def test_climb_matches_labelled_scan():
+    # the labelled scan shares no search code with the climb
+    assert len(SWEEP_7) == 27
+    for n, k, d in SWEEP_7:
+        max_size, codes = _search(n, k, d, budget=10**9)
+        assert _climb(n, k, d, budget=10**9) == (
+            max_size, _dedup_canonical(n, codes)), (n, k, d)
+
+
+def test_climb_matches_full_enumeration():
+    # every labelled graph of order n <= 5, by the slow reference code
+    for n in range(3, 6):
+        cells = pair_list(n)
+        graphs = []
+        for size in range(len(cells) + 1):
+            for edges in combinations(cells, size):
+                g = from_edges(n, edges)
+                graphs.append((g, fw_diameter(g),
+                               brute_vertex_connectivity(g)))
+        for k, d in [(k, d) for order, k, d in SWEEP_7 if order == n]:
+            valid = [g for g, dia, kappa in graphs
+                     if dia == d and kappa >= k]
+            top = max(g.size for g in valid)
+            max_size, extremal = _climb(n, k, d, budget=10**9)
+            assert max_size == top, (n, k, d)
+            assert {bit_code(from_graph6(t)) for t in extremal} == {
+                ref_canonical_code(g) for g in valid if g.size == top}
 
 
 def test_no_denser_graph_exists():
