@@ -25,6 +25,15 @@ class _UsageError(Exception):
     pass
 
 
+_REPORTED = (ParameterError, Graph6ParseError, CapacityError)
+
+
+def _report(exc: Exception, where: str = "") -> int:
+    """Print a reported error to stderr and return its exit code."""
+    print(f"oremax: error: {where}{exc}", file=sys.stderr)
+    return 4 if isinstance(exc, CapacityError) else 2
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; this tool reserves 2
     # for semantic parameter errors, so route usage failures through an
@@ -179,9 +188,8 @@ def _cmd_check(args) -> int:
             continue
         try:
             print(_check_row(line, args.k))
-        except (ParameterError, Graph6ParseError, CapacityError) as exc:
-            print(f"oremax: error: line {number}: {exc}", file=sys.stderr)
-            worst = max(worst, 4 if isinstance(exc, CapacityError) else 2)
+        except _REPORTED as exc:
+            worst = max(worst, _report(exc, f"line {number}: "))
     return worst
 
 
@@ -245,12 +253,8 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ParameterError, Graph6ParseError) as exc:
-        print(f"oremax: error: {exc}", file=sys.stderr)
-        return 2
-    except CapacityError as exc:
-        print(f"oremax: error: {exc}", file=sys.stderr)
-        return 4
+    except _REPORTED as exc:
+        return _report(exc)
     except OSError as exc:
         print(f"oremax: error: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,8 @@ class CapacityError(Exception):
 
 
 class BudgetError(CapacityError):
-    """An exhaustive search would exceed its candidate budget."""
+    """An exhaustive search would pass its budget: edge deletions tried on
+    alive classes for the climb, labelled candidates for the labelled scan."""
 
 
 class ParameterError(ValueError):

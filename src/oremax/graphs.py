@@ -20,14 +20,14 @@ integer encoding produced by :func:`bit_code`.  A graph6 line is that
 integer in six-bit groups: the order byte, then the bit code
 zero-padded on the right to a multiple of six bits, each group offset
 by 63.  Only :func:`bit_code` and :func:`from_bit_code` convert between
-that cell order and adjacency rows.
+that cell order and adjacency rows (the oracle's codes included).
 
 The package's only bitmask loops live here: :func:`bits` lists a mask's
 set bits, :func:`reach` floods breadth-first over adjacency rows (every
 BFS layering, connectedness test and oracle screen goes through it),
 :func:`cut_vertices` finds the cut vertices of an induced subgraph by one
-depth-first search, and :func:`subset_masks` builds vertex-subset masks
-in lexicographic order.
+depth-first search, :func:`subset_masks` builds vertex-subset masks in
+lexicographic order, and :func:`lower_twins` is the one twin test.
 """
 
 from __future__ import annotations
@@ -187,6 +187,14 @@ def subset_masks(order: int, size: int) -> Iterator[int]:
                                            size))
 
 
+def lower_twins(rows: Sequence[int]) -> list[int]:
+    """For each vertex v, the mask of its twins u < v: the vertices whose
+    neighbourhood equals v's apart from u and v themselves."""
+    return [sum(1 << u for u in range(v)
+                if rows[u] & ~(1 << v) == rows[v] & ~(1 << u))
+            for v in range(len(rows))]
+
+
 def _mask_from(vertices: Iterable[int], order: int) -> int:
     mask = 0
     for v in vertices:
@@ -322,9 +330,7 @@ def _order_codes(g: Graph, least: bool) -> set[int]:
     """
     rows = g.rows
     n = g.order
-    earlier = [sum(1 << u for u in range(v)
-                   if rows[u] & ~(1 << v) == rows[v] & ~(1 << u))
-               for v in range(n)]
+    earlier = lower_twins(rows)
     level = [(0, 0, ())]
     for j in range(n):
         grown = []

@@ -29,13 +29,14 @@ import time
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
+from typing import Sequence
 
 from .errors import BudgetError, CapacityError
 from .extremal import (FormulaMode, Parameters, enumerate_family,
                        max_size_formula)
 from .graphs import (Graph, bit_code, bits, canonical_form, from_bit_code,
-                     from_graph6, pair_list, reach, relabeling_codes,
-                     subset_masks, to_graph6)
+                     from_graph6, lower_twins, pair_list, reach,
+                     relabeling_codes, subset_masks, to_graph6)
 from .metrics import diameter, induced_disconnected, is_k_connected
 
 DEFAULT_ORDER_GUARD = 8
@@ -99,8 +100,8 @@ def _far_ok(rows: list[int], far: list[tuple[int, int]], d: int) -> bool:
     return hit_d
 
 
-def _candidate_ok(rows: list[int], missing: list[tuple[int, int]], k: int,
-                  d: int, full: int, cut_masks: list[int]) -> bool:
+def _candidate_ok(rows: list[int], missing: Sequence[tuple[int, int]],
+                  k: int, d: int, full: int, cut_masks: list[int]) -> bool:
     """True iff the graph has diameter exactly d and connectivity >= k.
 
     ``missing`` must be exactly the non-adjacent pairs and the order must
@@ -128,27 +129,16 @@ def _candidate_ok(rows: list[int], missing: list[tuple[int, int]], k: int,
 def _scan_level(n: int, k: int, d: int, level: int,
                 cut_masks: list[int]) -> list[int]:
     """Bit codes of all valid graphs whose complement has ``level`` edges."""
-    m = n * (n - 1) // 2
-    pairs = pair_list(n)
-    base = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
     full = (1 << n) - 1
-    full_code = (1 << m) - 1
-    codebit = [1 << (m - 1 - i) for i in range(m)]
+    base = [full ^ (1 << v) for v in range(n)]
     winners = []
-    for combo in combinations(range(m), level):
+    for missing in combinations(pair_list(n), level):
         rows = base[:]
-        missing = []
-        for idx in combo:
-            pair = pairs[idx]
-            u, v = pair
+        for u, v in missing:
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
-            missing.append(pair)
         if _candidate_ok(rows, missing, k, d, full, cut_masks):
-            code = full_code
-            for idx in combo:
-                code ^= codebit[idx]
-            winners.append(code)
+            winners.append(bit_code(Graph(n, tuple(rows))))
     return winners
 
 
@@ -180,12 +170,12 @@ def _dedup_canonical(n: int, codes: list[int]) -> list[str]:
     remaining = set(codes)
     out = []
     while remaining:
-        rep = min(remaining)
-        orbit = relabeling_codes(from_bit_code(n, rep))
+        rep = from_bit_code(n, min(remaining))
+        orbit = relabeling_codes(rep)
         if not orbit <= remaining:
             raise RuntimeError("winner set not closed under relabelling")
         remaining -= orbit
-        out.append(to_graph6(from_bit_code(n, rep)))
+        out.append(to_graph6(rep))
     return sorted(out)
 
 
@@ -218,11 +208,9 @@ def _deletions(rows: tuple[int, ...]) -> list[tuple[int, int]]:
     joins the least vertices of the two classes, or the two least of
     one class.
     """
-    n = len(rows)
-    earlier = [sum(1 << u for u in range(v)
-                   if rows[u] & ~(1 << v) == rows[v] & ~(1 << u))
-               for v in range(n)]
-    return [(u, v) for v in range(n) for u in bits(rows[v] & ((1 << v) - 1))
+    earlier = lower_twins(rows)
+    return [(u, v) for v in range(len(rows))
+            for u in bits(rows[v] & ((1 << v) - 1))
             if not earlier[u] and earlier[v] in (0, 1 << u)]
 
 

@@ -13,7 +13,7 @@ from oremax import (CANONICAL_MAX_ORDER, MAX_ORDER, CapacityError, Graph,
                     from_bit_code, from_edges, from_graph6, induced_subgraph,
                     is_clique, is_isomorphic, relabel, relabeling_codes,
                     to_dot, to_edge_list, to_graph6)
-from oremax.graphs import cut_vertices, reach, subset_masks
+from oremax.graphs import cut_vertices, lower_twins, reach, subset_masks
 
 
 def k_n(n):
@@ -194,6 +194,26 @@ def test_subset_masks_follow_combinations_order():
             expect = [sum(1 << v for v in combo)
                       for combo in combinations(range(n), size)]
             assert list(subset_masks(n, size)) == expect
+
+
+def test_lower_twins_match_definition():
+    # v's lower twins: every u < v with N(u) - {v} == N(v) - {u}
+    def want(g):
+        return [sum(1 << u for u in range(v)
+                    if g.neighbors(u) - {v} == g.neighbors(v) - {u})
+                for v in range(g.order)]
+
+    rng = random.Random(53)
+    graphs = [random_graph(rng, rng.randrange(0, 10),
+                           rng.choice([0.1, 0.5, 0.9, rng.random()]))
+              for _ in range(300)]
+    backbone = build_backbone(2, 3)[0]
+    for g in graphs + [backbone]:
+        assert lower_twins(g.rows) == want(g), to_graph6(g)
+    # K1 v K2 v K2 v K1: each middle block is one twin class
+    assert lower_twins(backbone.rows) == [0, 0, 1 << 1, 0, 1 << 3, 0]
+    for n in range(8):
+        assert lower_twins(k_n(n).rows) == [(1 << v) - 1 for v in range(n)]
 
 
 # --- canonical forms --------------------------------------------------------

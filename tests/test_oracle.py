@@ -136,8 +136,12 @@ def test_climb_matches_labelled_scan():
             max_size, _dedup_canonical(n, codes)), (n, k, d)
 
 
-def test_climb_matches_full_enumeration():
-    # every labelled graph of order n <= 5, by the slow reference code
+def full_enumeration():
+    """(n, k, d, maximizers) for each SWEEP_7 instance with n <= 5.
+
+    Every labelled graph of order n goes through the slow reference
+    code; the maximizers are the valid ones of the largest size.
+    """
     for n in range(3, 6):
         cells = pair_list(n)
         graphs = []
@@ -150,10 +154,24 @@ def test_climb_matches_full_enumeration():
             valid = [g for g, dia, kappa in graphs
                      if dia == d and kappa >= k]
             top = max(g.size for g in valid)
-            max_size, extremal = _climb(n, k, d, budget=10**9)
-            assert max_size == top, (n, k, d)
-            assert {bit_code(from_graph6(t)) for t in extremal} == {
-                ref_canonical_code(g) for g in valid if g.size == top}
+            yield n, k, d, [g for g in valid if g.size == top]
+
+
+def test_climb_matches_full_enumeration():
+    for n, k, d, maximizers in full_enumeration():
+        max_size, extremal = _climb(n, k, d, budget=10**9)
+        assert max_size == maximizers[0].size, (n, k, d)
+        assert {bit_code(from_graph6(t)) for t in extremal} == {
+            ref_canonical_code(g) for g in maximizers}
+
+
+def test_labelled_scan_matches_full_enumeration():
+    # the referee's labelled winners, each once and in graphs' cell order
+    for n, k, d, maximizers in full_enumeration():
+        max_size, codes = _search(n, k, d, budget=10**9)
+        assert max_size == maximizers[0].size, (n, k, d)
+        assert sorted(codes) == sorted(bit_code(g) for g in maximizers), (
+            n, k, d)
 
 
 def test_no_denser_graph_exists():
