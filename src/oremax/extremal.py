@@ -28,13 +28,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 
 from .errors import CapacityError, ParameterError
 from .graphs import (MAX_ORDER, Graph, bits, canonical_form,
-                     check_canonical_order, from_edges, from_graph6,
-                     to_graph6)
+                     check_canonical_order, from_graph6, to_graph6)
 from .metrics import DISCONNECTED, diameter, is_k_connected
 
 
@@ -177,12 +175,12 @@ def build_backbone(k: int, d: int) -> tuple[Graph, BlockMap]:
         blocks.append(((1 << k) - 1) << start)
         start += k
     blocks.append(1 << start)
-    edges = []
-    for block in blocks:
-        edges.extend(combinations(bits(block), 2))
-    for left, right in zip(blocks, blocks[1:]):
-        edges.extend((u, v) for u in bits(left) for v in bits(right))
-    return from_edges(order, edges), BlockMap(tuple(blocks), (0, order - 1))
+    # labels run block by block; a row is its block and the two beside it
+    padded = (0, *blocks, 0)
+    rows = [(before | block | after) ^ 1 << v
+            for before, block, after in zip(padded, padded[1:], padded[2:])
+            for v in bits(block)]
+    return Graph(order, tuple(rows)), BlockMap(tuple(blocks), (0, order - 1))
 
 
 def _window_blocks(spec: FamilyMemberSpec, blocks: tuple[int, ...],
@@ -207,15 +205,11 @@ def build_family_member(p: Parameters,
         raise ParameterError(
             f"need one side per outside vertex ({p.outside_count})")
     base, bmap = build_backbone(p.k, p.d)
-    rows = list(base.rows) + [0] * p.outside_count
-    outside = range(base.order, p.n)
-    for u in outside:
-        for v in outside:
-            if u != v:
-                rows[u] |= 1 << v
-    for u, side in zip(outside, spec.side_of):
+    rows = list(base.rows)
+    clique = (1 << p.n) - (1 << base.order)
+    for u, side in zip(range(base.order, p.n), spec.side_of):
         target = _window_blocks(spec, bmap.blocks, side)
-        rows[u] |= target
+        rows.append((clique ^ 1 << u) | target)
         for v in bits(target):
             rows[v] |= 1 << u
     return Graph(p.n, tuple(rows)), bmap

@@ -6,12 +6,13 @@ of internally disjoint paths between a non-adjacent pair equals the
 minimum separator size.  Each pair is a unit-capacity max flow on the
 vertex-split digraph, found by augmenting paths that step along the
 adjacency bitmask rows.  ``connectivity`` and ``is_k_connected`` share
-one loop (Even's bound): after one BFS has ruled out a disconnected
-graph, it starts from the minimum degree and tries source rows 0, 1,
-... only while the row is below the best value so far, which settles at
-kappa after rows 0..kappa-1 in the usual case and row kappa at worst,
-O(kappa * n) flows; ``is_k_connected`` stops at the first value below
-k.  ``vertex_connectivity`` adds the lexicographically least minimum
+one loop (Even's bound): one BFS rules out a disconnected graph and
+settles kappa <= 1 with no flow; past that it starts from the minimum
+degree and tries source rows 0, 1, ... only while the row is below the
+best value so far, which settles at kappa after rows 0..kappa-1 in the
+usual case and row kappa at worst, O(kappa * n) flows;
+``is_k_connected`` stops at the first value below k.
+``vertex_connectivity`` adds the lexicographically least minimum
 cut, chosen greedily one vertex at a time: each candidate costs one
 connectivity test of G minus the chosen vertices and it, and the least
 candidate at each position goes in, so at most n tests in all.  The
@@ -185,11 +186,13 @@ def _kappa(g: Graph, cap: int, exact: bool = True) -> int:
     # min(kappa, cap), with kappa(K_n) = n - 1; no flow exceeds the
     # minimum degree or order - 1.  A separator S smaller than best
     # misses a row below best, and the least vertex outside S is cut by
-    # S from a later one.  Without ``exact``, stop once best < cap.  A
-    # disconnected graph reads 0 after one BFS, with no flow.
+    # S from a later one.  Without ``exact``, stop once best < cap.  One
+    # BFS settles best <= 1 with no flow (no separator is empty).
     best = min(cap, g.order - 1, *map(int.bit_count, g.rows))
     if best > 0 and not is_connected(g):
         return 0
+    if best <= 1:
+        return best
     pairs = ((s, t) for s in range(g.order) for t in range(s + 1, g.order)
              if not g.rows[s] >> t & 1)
     for s, t in pairs:

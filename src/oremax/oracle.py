@@ -15,9 +15,10 @@ exact-d classes are the maximizers.  Swapping twins is an automorphism,
 so one edge per pair of twin classes is deleted.
 
 The labelled scan (``_search``: every complement of each size, in
-ascending size, with orbit dedup by ``_dedup_canonical``) shares no
-search code with the climb.  It stays as the tests' independent
-referee.
+ascending size, with orbit dedup by ``_dedup_canonical``) stays as the
+tests' referee.  It shares the climb's connectivity screen
+(``_cut_masks`` and ``induced_disconnected``), which only the tests of
+``_candidate_ok`` and ``_alive`` against the public invariants guard.
 
 Everything is guarded: order 8, and a budget on edge deletions that
 aborts loudly before a level instead of truncating silently.
@@ -32,8 +33,8 @@ from math import comb
 from typing import Sequence
 
 from .errors import BudgetError, CapacityError
-from .extremal import (FormulaMode, Parameters, enumerate_family,
-                       max_size_formula)
+from .extremal import (FormulaMode, Parameters, backbone_order,
+                       enumerate_family, max_size_formula)
 from .graphs import (Graph, bit_code, bits, canonical_form, from_bit_code,
                      from_graph6, lower_twins, pair_list, reach,
                      relabeling_codes, subset_masks, to_graph6)
@@ -318,7 +319,7 @@ def sweep(n_max: int, k_max: int | None = None, d_max: int | None = None, *,
     for n in range(3, n_max + 1):
         for k in range(1, k_max + 1):
             for d in range(2, d_max + 1):
-                if n >= k * d - k + 2:
+                if n >= backbone_order(k, d):
                     reports.append(verify_theorem(Parameters(n, k, d),
                                                   budget=budget))
     return reports

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -104,8 +105,8 @@ def test_backbone_small_shapes():
     assert vertex_connectivity(t).kappa == 2
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
 def test_backbone_invariants(k, d):
     t, bm = build_backbone(k, d)
     assert diameter(t) == d
@@ -202,6 +203,40 @@ def test_family_member_split_window():
     assert g.rows[6] & backbone_vertices == first_mask
     assert g.rows[7] & backbone_vertices == last_mask
     assert g.has_edge(6, 7)
+
+
+def member_from_edges(k, d, spec):
+    # pole x = 0, middle block i holds 1 + ik .. (i + 1)k, pole y last,
+    # then one outside vertex per entry of spec.side_of
+    t = k * d - k + 2
+    blocks = [[0], *(list(range(1 + i * k, 1 + (i + 1) * k))
+                     for i in range(d - 1)), [t - 1]]
+    outside = range(t, t + len(spec.side_of))
+    edges = [e for block in blocks for e in combinations(block, 2)]
+    edges += [(u, v) for left, right in zip(blocks, blocks[1:])
+              for u in left for v in right]
+    edges += combinations(outside, 2)
+    for u, side in zip(outside, spec.side_of):
+        lo = spec.window_start - 1 + (side is LAST)
+        edges += [(u, v) for block in blocks[lo:lo + 3] for v in block]
+    return from_edges(t + len(spec.side_of), edges)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_family_member_rows_exact(k):
+    from oremax.extremal import _candidate_specs
+    split_sides = set()
+    for d in range(2, 7):
+        for r in range(4):
+            p = Parameters(backbone_order(k, d) + r, k, d)
+            for spec in _candidate_specs(p):
+                g, _ = build_family_member(p, spec)
+                assert g.rows == member_from_edges(k, d, spec).rows, spec
+                if spec.window_len == 4:
+                    split_sides.add(spec.side_of)
+    # both sides of 4-block windows, in either proportion
+    assert {(FIRST, LAST), (FIRST, FIRST, LAST), (FIRST, LAST, LAST)} \
+        <= split_sides
 
 
 # --- family enumeration -----------------------------------------------------

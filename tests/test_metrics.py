@@ -265,6 +265,21 @@ def test_disconnected_graph_runs_no_flow(monkeypatch, g):
         assert not is_k_connected(g, k)
 
 
+def test_kappa_at_most_one_runs_no_flow(monkeypatch):
+    # one BFS settles kappa <= 1: a connected graph has no empty separator
+    def no_flow(*args, **kwargs):
+        raise AssertionError("flow once connectivity settles kappa <= 1")
+
+    star = from_edges(5, [(v, 4) for v in range(4)])  # centre last
+    member, _ = build_family_member(
+        Parameters(6, 1, 3), FamilyMemberSpec(1, 3, (Side.FIRST_THREE,) * 2))
+    monkeypatch.setattr(metrics, "local_connectivity", no_flow)
+    for g in (path(5), star, member):
+        assert connectivity(g) == 1
+        assert is_k_connected(g, 1)
+    assert is_k_connected(cycle(6), 1)
+
+
 def test_is_k_connected():
     assert is_k_connected(k_n(4), 3)
     assert not is_k_connected(k_n(4), 4)  # order must exceed k
