@@ -158,15 +158,9 @@ def _cmd_family(args) -> int:
 def _check_row(line: str, k: int) -> str:
     g = from_graph6(line)
     dia = diameter(g)
-    # verdict first: its guard rejects an over-guard line before any flow
-    if dia is DISCONNECTED:
-        dia_text, verdict = "disconnected", False
-    else:
-        dia_text = str(dia)
-        verdict = is_extremal(g, k)
-    kappa = connectivity(g)
-    return (f"{to_graph6(g)}\t{g.order}\t{g.size}\t{dia_text}\t{kappa}\t"
-            f"{_bool_text(verdict)}")
+    dia_text = "disconnected" if dia is DISCONNECTED else str(dia)
+    return (f"{to_graph6(g)}\t{g.order}\t{g.size}\t{dia_text}\t"
+            f"{connectivity(g)}\t{_bool_text(is_extremal(g, k))}")
 
 
 def _cmd_check(args) -> int:

@@ -17,11 +17,13 @@ cap * multiplier where cap is the per-vertex attachment bound:
   the statement as it is sometimes printed.  For small instances this
   overshoots, even past the complete graph.
 
-Family generation is validate-by-computation: every syntactically valid
-window/side assignment is built, then kept only if the result has the
-right diameter, connectivity, and size.  Window positions that fall
-short of the cap (for example windows touching a pole when k >= 2 and
-d >= 4) are thereby dropped without any case analysis.
+``is_extremal`` tests the definition: diameter d, connectivity at least
+k, and the CORRECTED maximum size, at any order up to 62.  Family
+generation is validate-by-computation: every syntactically valid
+window/side assignment is built, then kept only if it has diameter
+exactly d and ``is_extremal`` holds.  Window positions that fall short
+of the cap (for example windows touching a pole when k >= 2 and d >= 4)
+are thereby dropped without any case analysis.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from math import comb
 
 from .errors import CapacityError, ParameterError
 from .graphs import (MAX_ORDER, Graph, bits, canonical_form,
-                     check_canonical_order, from_graph6, to_graph6)
+                     check_canonical_order, from_graph6)
 from .metrics import DISCONNECTED, diameter, is_k_connected
 
 
@@ -92,6 +94,8 @@ class FamilyMemberSpec:
             raise ParameterError("window length must be 3 or 4")
         if self.window_start < 1:
             raise ParameterError("window start must be at least 1")
+        if not all(isinstance(s, Side) for s in self.side_of):
+            raise ParameterError("side_of entries must be Side members")
         if self.window_len == 3:
             if any(s is not Side.FIRST_THREE for s in self.side_of):
                 raise ParameterError(
@@ -154,8 +158,10 @@ def max_size_formula(p: Parameters,
     outside = p.outside_count
     if mode is FormulaMode.CORRECTED:
         multiplier = outside
-    else:
+    elif mode is FormulaMode.PAPER_LITERAL:
         multiplier = backbone_order(p.k, p.d)
+    else:
+        raise ParameterError(f"unknown formula mode {mode!r}")
     return (backbone_size(p.k, p.d) + comb(outside, 2)
             + attachment_cap(p.k, p.d) * multiplier)
 
@@ -230,35 +236,27 @@ def enumerate_family(p: Parameters) -> list[Graph]:
     """All graphs attaining the CORRECTED maximum, via window candidates.
 
     Builds every window/side assignment, keeps those with diameter
-    exactly d, connectivity at least k, and size equal to the formula,
-    and returns one canonically relabelled graph per isomorphism class,
-    sorted by canonical encoding.
+    exactly d for which ``is_extremal`` holds, and returns one
+    canonically relabelled graph per isomorphism class, sorted by
+    canonical encoding.
     """
     check_canonical_order(p.n)
-    target = max_size_formula(p)
     seen: set[str] = set()
     for spec in _candidate_specs(p):
         g, _ = build_family_member(p, spec)
-        if g.size != target:
-            continue
-        if diameter(g) != p.d:
-            continue
-        if not is_k_connected(g, p.k):
-            continue
-        seen.add(canonical_form(g).g6)
+        if diameter(g) == p.d and is_extremal(g, p.k):
+            seen.add(canonical_form(g).g6)
     return [from_graph6(text) for text in sorted(seen)]
 
 
 def is_extremal(g: Graph, k: int) -> bool:
-    """True iff g attains the maximum size for its own order and diameter.
+    """True iff g is k-connected with the maximum size for its diameter.
 
-    Checks exact size and isomorphism with some family member; every
-    member is k-connected, so connectivity follows from membership and
-    is not tested again.  Instances outside the formula's domain
-    (complete graphs, disconnected graphs, order too small for the
-    backbone) return False rather than raising.
+    Tests the definition: g has diameter d, connectivity at least k and
+    exactly the CORRECTED maximum size for (order, k, d).  Instances
+    outside the formula's domain (complete graphs, disconnected graphs,
+    order too small for the backbone) return False rather than raising.
     """
-    check_canonical_order(g.order)
     if k < 1:
         raise ParameterError("k must be at least 1")
     dia = diameter(g)
@@ -268,7 +266,4 @@ def is_extremal(g: Graph, k: int) -> bool:
         p = Parameters(g.order, k, dia)
     except ParameterError:
         return False
-    if g.size != max_size_formula(p):
-        return False
-    # enumerate_family already returns canonically labelled graphs
-    return canonical_form(g).g6 in {to_graph6(m) for m in enumerate_family(p)}
+    return g.size == max_size_formula(p) and is_k_connected(g, k)

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import oremax.oracle
-from oremax import bits, build_backbone, from_edges, from_graph6, to_graph6
+from oremax import (Parameters, bits, build_backbone, build_family_member,
+                    from_edges, from_graph6, max_size_formula, to_graph6)
 from oremax.cli import run
 
 
@@ -193,24 +194,47 @@ def test_check_exits_with_the_worst_line_code(capsys, monkeypatch):
     k11 = from_edges(11, [(u, v) for u in range(11) for v in range(u + 1, 11)])
     monkeypatch.setattr("sys.stdin",
                         io.StringIO(f"bad\n{to_graph6(k11)}\nbad\nC~\n"))
-    assert run(["check", "--k", "1"]) == 4  # capacity outranks malformed
+    assert run(["check", "--k", "1"]) == 2  # K11 gets a row
     captured = capsys.readouterr()
-    assert len(captured.out.splitlines()) == 2
+    assert captured.out.splitlines()[1:] == [
+        f"{to_graph6(k11)}\t11\t55\t1\t10\tfalse", "C~\t4\t6\t1\t3\tfalse"]
     assert [line.split(": ")[2] for line in captured.err.splitlines()] == \
-        ["line 1", "line 2", "line 3"]
+        ["line 1", "line 3"]
 
 
-def test_check_rejects_an_over_guard_line_before_any_flow(capsys,
-                                                        monkeypatch):
+def test_check_rows_an_order_11_path_with_no_flow(capsys, monkeypatch):
     def no_flows(*args, **kwargs):
         raise AssertionError("a flow ran")
 
     p11 = from_edges(11, list(zip(range(10), range(1, 11))))
     monkeypatch.setattr("oremax.metrics.local_connectivity", no_flows)
     monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(p11) + "\n"))
-    assert run(["check", "--k", "1"]) == 4
-    assert capsys.readouterr().err == \
-        "oremax: error: line 1: order 11 exceeds canonical-form guard 10\n"
+    assert run(["check", "--k", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == \
+        [f"{to_graph6(p11)}\t11\t10\t10\t1\ttrue"]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("n, k, d", [(30, 2, 5), (62, 4, 6), (62, 1, 20)])
+def test_check_rows_a_family_member_past_order_10(capsys, monkeypatch,
+                                                  n, k, d):
+    from oremax.extremal import _candidate_specs
+    p = Parameters(n, k, d)
+    members = (build_family_member(p, spec)[0] for spec in _candidate_specs(p))
+    g = next(g for g in members if g.size == max_size_formula(p))
+    text = to_graph6(g)
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO(f"{text}\n{_first_edge_deleted(text)}\n"))
+    assert run(["check", "--k", str(k)]) == 0
+    captured = capsys.readouterr()
+    member, deleted = captured.out.splitlines()[1:]
+    assert member == f"{text}\t{n}\t{g.size}\t{d}\t{k}\ttrue"
+    # the deleted edge leaves pole 0, so kappa may drop too
+    fields = deleted.split("\t")
+    assert fields[1:4] == [str(n), str(g.size - 1), str(d)]
+    assert fields[5] == "false"
+    assert captured.err == ""
 
 
 def _first_edge_deleted(text):

@@ -1,15 +1,17 @@
+import random
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from oremax import (CapacityError, FamilyMemberSpec, FormulaMode,
-                    ParameterError, Parameters, Side, attachment_cap,
-                    backbone_order, backbone_size, bfs_layers, bits,
-                    build_backbone, build_family_member, canonical_form,
-                    diameter, enumerate_family, from_edges, from_graph6,
-                    is_clique, is_extremal, is_isomorphic, is_k_connected,
-                    max_size_formula, to_graph6, vertex_connectivity)
+from oremax import (DISCONNECTED, CapacityError, FamilyMemberSpec,
+                    FormulaMode, Graph, ParameterError, Parameters, Side,
+                    attachment_cap, backbone_order, backbone_size,
+                    bfs_layers, bits, build_backbone, build_family_member,
+                    canonical_form, diameter, enumerate_family, from_edges,
+                    from_graph6, is_clique, is_extremal, is_isomorphic,
+                    is_k_connected, max_size_formula, to_graph6,
+                    vertex_connectivity)
 
 FIRST = Side.FIRST_THREE
 LAST = Side.LAST_THREE
@@ -133,6 +135,10 @@ def test_formula_literal_mode_overshoots():
     p = Parameters(4, 1, 2)
     assert max_size_formula(p, FormulaMode.PAPER_LITERAL) == 11
     assert 11 > comb(4, 2)  # more edges than the complete graph
+    with pytest.raises(ParameterError):
+        max_size_formula(p, "paper-literal")  # a mode's value, not the mode
+    with pytest.raises(ParameterError):
+        max_size_formula(Parameters(7, 2, 3), "corrected")
 
 
 def test_formula_zero_outside_collapses_to_backbone():
@@ -185,6 +191,8 @@ def test_family_member_spec_errors():
         FamilyMemberSpec(1, 3, (LAST,))
     with pytest.raises(ParameterError):
         FamilyMemberSpec(1, 4, (FIRST, FIRST))  # a side left empty
+    with pytest.raises(ParameterError):
+        FamilyMemberSpec(1, 4, ("x", LAST))  # not a Side
     p = Parameters(6, 1, 4)
     with pytest.raises(ParameterError):
         build_family_member(p, FamilyMemberSpec(4, 3, (FIRST,)))  # past y
@@ -324,9 +332,10 @@ def test_is_extremal_negative():
     assert not is_extremal(g, 2)
 
 
-def test_is_extremal_guard_and_validation():
-    with pytest.raises(CapacityError):
-        is_extremal(k_n(11), 1)
+def test_is_extremal_has_no_order_guard_and_validates_k():
+    assert not is_extremal(k_n(11), 1)  # diameter 1 is out of domain
+    assert is_extremal(path(11), 1)  # bare backbone for (11,1,10)
+    assert not is_extremal(path(11), 2)
     with pytest.raises(ParameterError):
         is_extremal(path(4), 0)
 
@@ -335,3 +344,96 @@ def test_family_members_are_extremal():
     for (n, k, d) in [(4, 1, 2), (6, 1, 4), (6, 2, 3), (7, 2, 3)]:
         for g in enumerate_family(Parameters(n, k, d)):
             assert is_extremal(g, k)
+
+
+def _flip(g, u, v):
+    rows = list(g.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Graph(g.order, tuple(rows))
+
+
+def test_is_extremal_equals_family_membership():
+    # the definition against the generated family: every member and five
+    # seeded one-pair flips of each, judged at k = 1..3 against the family
+    # of the graph's own (order, k, diameter)
+    families = {}
+
+    def member_texts(n, k, d):
+        if (n, k, d) not in families:
+            try:
+                p = Parameters(n, k, d)
+            except ParameterError:
+                families[n, k, d] = set()
+            else:
+                families[n, k, d] = {to_graph6(m)
+                                     for m in enumerate_family(p)}
+        return families[n, k, d]
+
+    rng = random.Random(11)
+    graphs = []
+    for n in range(3, 11):
+        for k in range(1, n):
+            for d in range(2, n):
+                for m in member_texts(n, k, d):
+                    g = from_graph6(m)
+                    graphs.append(g)
+                    for _ in range(5):
+                        u, v = rng.sample(range(n), 2)
+                        graphs.append(_flip(g, u, v))
+    checks = positives = 0
+    for g in graphs:
+        d = diameter(g)
+        for k in (1, 2, 3):
+            member = (d is not DISCONNECTED
+                      and canonical_form(g).g6 in member_texts(g.order, k, d))
+            assert is_extremal(g, k) == member
+            checks += 1
+            positives += member
+    assert checks == 2556 and positives > 0
+
+
+@pytest.mark.parametrize("n, k, d", [(30, 2, 5), (62, 4, 6), (62, 1, 20)])
+def test_is_extremal_past_order_10(n, k, d):
+    from oremax.extremal import _candidate_specs
+    p = Parameters(n, k, d)
+    members = (build_family_member(p, spec)[0] for spec in _candidate_specs(p))
+    g = next(g for g in members if g.size == max_size_formula(p))
+    assert is_extremal(g, k)
+    assert not is_extremal(g, k + 1)
+    u = next(u for u in range(n) if g.rows[u])
+    v = g.rows[u].bit_length() - 1
+    assert not is_extremal(_flip(g, u, v), k)  # one edge deleted
+
+
+def _layer_vectors(total, parts, k):
+    """Sizes (n_1, ..., n_parts) summing to total, n_i >= k except n_parts."""
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(k, total - k * (parts - 2)):
+        for rest in _layer_vectors(total - first, parts - 1, k):
+            yield (first, *rest)
+
+
+def test_formula_is_the_best_layering():
+    # BFS layers from a vertex of eccentricity d: edges join equal or
+    # consecutive layers, and each inner layer separates the ends, so it
+    # has at least k vertices.  The complete layered graph on such a
+    # vector is k-connected with diameter d, so the maximum size is the
+    # largest layered edge count.
+    instances = vectors = 0
+    for n in range(3, 17):
+        for k in range(1, n):
+            for d in range(2, n):
+                sizes = [sum(comb(a, 2) for a in v)
+                         + sum(a * b for a, b in zip(v, v[1:]))
+                         for v in ((1, *tail)
+                                   for tail in _layer_vectors(n - 1, d, k))]
+                if not sizes:
+                    continue  # no layering: (n, k, d) is not an instance
+                assert max(sizes) == max_size_formula(Parameters(n, k, d))
+                instances += 1
+                vectors += len(sizes)
+    assert (instances, vectors) == (269, 35154)
