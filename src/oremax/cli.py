@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .errors import CapacityError, Graph6ParseError, ParameterError
-from .extremal import (FormulaMode, Parameters, build_backbone,
-                       enumerate_family, is_extremal, max_size_formula)
+from .extremal import (FormulaMode, Parameters, _extremal, build_backbone,
+                       enumerate_family, max_size_formula)
 from .graphs import Graph, from_graph6, to_dot, to_edge_list, to_graph6
 from .metrics import DISCONNECTED, connectivity, diameter
 from .oracle import OracleReport, max_size_bruteforce, sweep, verify_theorem
@@ -158,9 +158,11 @@ def _cmd_family(args) -> int:
 def _check_row(line: str, k: int) -> str:
     g = from_graph6(line)
     dia = diameter(g)
+    kappa = connectivity(g)
+    extremal = _extremal(g, k, dia, lambda: kappa >= k)
     dia_text = "disconnected" if dia is DISCONNECTED else str(dia)
     return (f"{to_graph6(g)}\t{g.order}\t{g.size}\t{dia_text}\t"
-            f"{connectivity(g)}\t{_bool_text(is_extremal(g, k))}")
+            f"{kappa}\t{_bool_text(extremal)}")
 
 
 def _cmd_check(args) -> int:

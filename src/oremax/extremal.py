@@ -31,11 +31,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import comb
+from typing import Callable
 
 from .errors import CapacityError, ParameterError
 from .graphs import (MAX_ORDER, Graph, bits, canonical_form,
                      check_canonical_order, from_graph6)
-from .metrics import DISCONNECTED, diameter, is_k_connected
+from .metrics import DISCONNECTED, Disconnected, diameter, is_k_connected
 
 
 @dataclass(frozen=True)
@@ -259,11 +260,17 @@ def is_extremal(g: Graph, k: int) -> bool:
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
-    dia = diameter(g)
+    return _extremal(g, k, diameter(g), lambda: is_k_connected(g, k))
+
+
+def _extremal(g: Graph, k: int, dia: int | Disconnected,
+              k_connected: Callable[[], bool]) -> bool:
+    # is_extremal given g's diameter, for a caller that has it already;
+    # k_connected decides kappa >= k and runs only at the formula's size
     if dia is DISCONNECTED:
         return False
     try:
         p = Parameters(g.order, k, dia)
     except ParameterError:
         return False
-    return g.size == max_size_formula(p) and is_k_connected(g, k)
+    return g.size == max_size_formula(p) and k_connected()

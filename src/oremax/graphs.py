@@ -20,14 +20,20 @@ integer encoding produced by :func:`bit_code`.  A graph6 line is that
 integer in six-bit groups: the order byte, then the bit code
 zero-padded on the right to a multiple of six bits, each group offset
 by 63.  Only :func:`bit_code` and :func:`from_bit_code` convert between
-that cell order and adjacency rows (the oracle's codes included).
+that cell order and adjacency rows (the oracle's codes included); the
+two vertex-order searches behind :func:`canonical_form` and
+:func:`_certificate` append the same columns, one vertex at a time.
 
 The package's only bitmask loops live here: :func:`bits` lists a mask's
 set bits, :func:`reach` floods breadth-first over adjacency rows (every
 BFS layering, connectedness test and oracle screen goes through it),
 :func:`cut_vertices` finds the cut vertices of an induced subgraph by one
 depth-first search, :func:`subset_masks` builds vertex-subset masks in
-lexicographic order, and :func:`lower_twins` is the one twin test.
+lexicographic order, :func:`lower_twins` is the one twin test, and
+:func:`_refine` splits an ordered partition into cells until it is
+equitable.  On that refinement :func:`_certificate` builds the oracle's
+private isomorphism certificate, which only dedups the climb's levels:
+every printed form is still the least code from :func:`canonical_form`.
 """
 
 from __future__ import annotations
@@ -367,6 +373,63 @@ def relabeling_codes(g: Graph) -> set[int]:
     """Set of bit codes of all relabellings of ``g`` (its labelled orbit)."""
     check_canonical_order(g.order)
     return _order_codes(g, least=False)
+
+
+def _refine(rows: Sequence[int], cells: list[int]) -> list[int]:
+    """Equitable refinement of an ordered partition into vertex masks.
+
+    Each cell splits by how many neighbours its vertices have in each
+    cell, the parts in sorted signature order, until no cell splits:
+    then any two vertices of one cell have as many neighbours as each
+    other in every cell.  Relabelling the input relabels the output.
+    """
+    while True:
+        split = []
+        for cell in cells:
+            if not cell & cell - 1:
+                split.append(cell)
+                continue
+            groups: dict[tuple[int, ...], int] = {}
+            for v in bits(cell):
+                row = rows[v]
+                sig = tuple([(row & c).bit_count() for c in cells])
+                groups[sig] = groups.get(sig, 0) | 1 << v
+            split += [groups[sig] for sig in sorted(groups)]
+        if len(split) == len(cells):
+            return cells
+        cells = split
+
+
+def _certificate(rows: Sequence[int]) -> int:
+    """Isomorphism certificate: equal exactly for isomorphic graphs.
+
+    Individualisation-refinement (McKay & Piperno, "Practical graph
+    isomorphism II", 2014) without automorphism pruning: after
+    :func:`_refine`, each vertex of the first cell with more than one
+    vertex is made a cell of its own, and the search recurses.  A vertex
+    with a lower twin in that cell is skipped, since swapping the two is
+    an automorphism that fixes the partition.  The result is the least
+    bit code (as :func:`bit_code` writes it) over the leaves, the
+    discrete partitions read as vertex orders.  It is one relabelling's
+    code, not always the least, so it is never printed.
+    """
+    earlier = lower_twins(rows)
+
+    def least(cells: list[int]) -> int:
+        cells = _refine(rows, cells)
+        for i, cell in enumerate(cells):
+            if cell & cell - 1:
+                return min(least([*cells[:i], 1 << v, cell ^ 1 << v,
+                                  *cells[i + 1:]])
+                           for v in bits(cell) if not earlier[v] & cell)
+        order = [cell.bit_length() - 1 for cell in cells]
+        code = 0
+        for j, w in enumerate(order):
+            for x in order[:j]:
+                code = code << 1 | rows[w] >> x & 1
+        return code
+
+    return least([(1 << len(rows)) - 1])
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -12,7 +12,9 @@ maximizer is alive, and deleting each edge of every alive class reaches
 every alive class of the next level.  The first level that holds an
 alive class of diameter exactly d therefore gives the maximum, and its
 exact-d classes are the maximizers.  Swapping twins is an automorphism,
-so one edge per pair of twin classes is deleted.
+so one edge per pair of twin classes is deleted.  Each level is deduped
+by the partition-refinement certificate ``graphs._certificate``, and
+only the maximizers, one per class, get a canonical form.
 
 The labelled scan (``_search``: every complement of each size, in
 ascending size, with orbit dedup by ``_dedup_canonical``) stays as the
@@ -35,9 +37,9 @@ from typing import Sequence
 from .errors import BudgetError, CapacityError
 from .extremal import (FormulaMode, Parameters, backbone_order,
                        enumerate_family, max_size_formula)
-from .graphs import (Graph, bit_code, bits, canonical_form, from_bit_code,
-                     from_graph6, lower_twins, pair_list, reach,
-                     relabeling_codes, subset_masks, to_graph6)
+from .graphs import (Graph, _certificate, bit_code, bits, canonical_form,
+                     from_bit_code, from_graph6, lower_twins, pair_list,
+                     reach, relabeling_codes, subset_masks, to_graph6)
 from .metrics import diameter, induced_disconnected, is_k_connected
 
 DEFAULT_ORDER_GUARD = 8
@@ -231,12 +233,14 @@ def _climb(n: int, k: int, d: int,
     verdicts = {top: _alive(top, d, full, cut_masks)} if n > k else {}
     removed = used = 0
     while True:
-        # only a level without an exact-d graph is canonicalised whole
-        winners = {canonical_form(Graph(n, rows)).g6
+        # classes are told apart by certificate; only the exact-d
+        # winners, one per class, pay for a printed canonical form
+        winners = {_certificate(rows): rows
                    for rows, hit in verdicts.items() if hit}
         if winners:
-            return n * (n - 1) // 2 - removed, sorted(winners)
-        level = {canonical_form(Graph(n, rows)).g6: rows
+            return n * (n - 1) // 2 - removed, sorted(
+                canonical_form(Graph(n, rows)).g6 for rows in winners.values())
+        level = {_certificate(rows): rows
                  for rows, hit in verdicts.items() if hit is False}
         if not level:
             return None, []

@@ -1,8 +1,10 @@
 """Slow reference implementations used only by the tests.
 
 Deliberately dumb: all-pairs relaxation for distances, subset
-enumeration for cuts, full permutation scans for canonical codes.
-They share no code with the package so disagreements mean real bugs.
+enumeration for cuts, full permutation scans for canonical codes, and
+the individualisation-refinement tree with no pruning for the
+certificate.  They share no code with the package so disagreements
+mean real bugs.
 """
 
 from __future__ import annotations
@@ -108,15 +110,50 @@ def brute_min_separator(g: Graph, s: int, t: int) -> int:
     raise AssertionError("removing all interior vertices must separate")
 
 
+def _order_code(g: Graph, order) -> int:
+    # the upper-triangle cells, column by column, of g relabelled so
+    # that order[i] becomes vertex i
+    code = 0
+    for j in range(len(order)):
+        for i in range(j):
+            code = code << 1 | (g.rows[order[i]] >> order[j] & 1)
+    return code
+
+
 def ref_canonical_code(g: Graph) -> int:
     """Minimum relabelled bit code by plain permutation scanning."""
-    n = g.order
-    cells = [(i, j) for j in range(n) for i in range(j)]
-    best = None
-    for perm in permutations(range(n)):
-        code = 0
-        for i, j in cells:
-            code = code << 1 | (g.rows[perm[i]] >> perm[j] & 1)
-        if best is None or code < best:
-            best = code
-    return 0 if best is None else best
+    return min(_order_code(g, perm) for perm in permutations(range(g.order)))
+
+
+def ref_certificate(g: Graph) -> int:
+    """Least leaf code of the full individualisation-refinement tree.
+
+    Cells are lists of vertices; refinement splits each cell by the
+    neighbour counts into every cell, in sorted signature order, until
+    none splits; every vertex of the first non-singleton cell is
+    individualised in turn, with no pruning of any kind.
+    """
+    def refine(cells):
+        while True:
+            split = []
+            for cell in cells:
+                sig = {v: tuple(sum(g.rows[v] >> u & 1 for u in c)
+                                for c in cells) for v in cell}
+                split += [[v for v in cell if sig[v] == s]
+                          for s in sorted(set(sig.values()))]
+            if len(split) == len(cells):
+                return cells
+            cells = split
+
+    def leaves(cells):
+        cells = refine(cells)
+        wide = [i for i, cell in enumerate(cells) if len(cell) > 1]
+        if not wide:
+            yield _order_code(g, [cell[0] for cell in cells])
+            return
+        i = wide[0]
+        for v in cells[i]:
+            rest = [u for u in cells[i] if u != v]
+            yield from leaves(cells[:i] + [[v], rest] + cells[i + 1:])
+
+    return min(leaves([list(range(g.order))] if g.order else []))

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import oremax.metrics
 import oremax.oracle
 from oremax import (Parameters, bits, build_backbone, build_family_member,
-                    from_edges, from_graph6, max_size_formula, to_graph6)
+                    connectivity, from_edges, from_graph6, max_size_formula,
+                    to_graph6)
 from oremax.cli import run
 
 
@@ -259,6 +261,36 @@ def test_check_builds_no_witness_cut(capsys, monkeypatch, n, k, d):
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
     assert run(["check", "--k", str(k)]) == 0
     assert capsys.readouterr().out == expect
+
+
+def test_check_runs_one_diameter_and_one_kappa_per_line(capsys, monkeypatch):
+    # a formula-sized k-connected member: the extremal verdict reuses the
+    # row's diameter and kappa
+    assert run(["family", "--n", "9", "--k", "2", "--d", "4"]) == 0
+    text = lines_of(capsys)[0]
+    counts = {"diameter": 0, "flows": 0}
+    real_diameter = oremax.metrics.diameter
+    real_flow = oremax.metrics.local_connectivity
+
+    def counting_diameter(g):
+        counts["diameter"] += 1
+        return real_diameter(g)
+
+    def counting_flow(*args, **kwargs):
+        counts["flows"] += 1
+        return real_flow(*args, **kwargs)
+
+    monkeypatch.setattr("oremax.metrics.local_connectivity", counting_flow)
+    connectivity(from_graph6(text))
+    flows = counts["flows"]
+    assert flows > 0
+    counts["flows"] = 0
+    for module in ("oremax.cli", "oremax.extremal"):
+        monkeypatch.setattr(f"{module}.diameter", counting_diameter)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+    assert run(["check", "--k", "2"]) == 0
+    assert lines_of(capsys)[1].endswith("\ttrue")
+    assert counts == {"diameter": 1, "flows": flows}
 
 
 def test_check_rejects_k_below_1_before_output(capsys, monkeypatch):

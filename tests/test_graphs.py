@@ -6,14 +6,15 @@ import networkx as nx
 import pytest
 
 from bruteforce import (_connected_on, fw_distances, random_graph,
-                        ref_canonical_code)
+                        ref_canonical_code, ref_certificate)
 from oremax import (CANONICAL_MAX_ORDER, MAX_ORDER, CapacityError, Graph,
                     Graph6ParseError, ParameterError, add_edge, bit_code,
                     bits, build_backbone, canonical_form, empty_graph,
                     from_bit_code, from_edges, from_graph6, induced_subgraph,
                     is_clique, is_isomorphic, relabel, relabeling_codes,
                     to_dot, to_edge_list, to_graph6)
-from oremax.graphs import cut_vertices, lower_twins, reach, subset_masks
+from oremax.graphs import (_certificate, _refine, cut_vertices, lower_twins,
+                           reach, subset_masks)
 
 
 def k_n(n):
@@ -284,6 +285,86 @@ def test_relabeling_codes_is_full_orbit():
         want = {bit_code(relabel(g, perm))
                 for perm in permutations(range(g.order))}
         assert relabeling_codes(g) == want
+
+
+def cycle_unions():
+    """C_a + C_b with 3 <= a < b and a + b <= 9, and their complements.
+
+    Each is regular, so refinement leaves one cell, yet it has two
+    orbits: the certificate must not depend on which vertex is tried
+    first.
+    """
+    for a in range(3, 5):
+        for b in range(a + 1, 10 - a):
+            g = from_edges(a + b, [*zip(range(a), [*range(1, a), 0]),
+                                   *zip(range(a, a + b),
+                                        [*range(a + 1, a + b), a])])
+            yield g
+            yield from_edges(g.order, [(u, v) for u, v in combinations(
+                range(g.order), 2) if not g.has_edge(u, v)])
+
+
+def test_refine_is_equitable_and_equivariant():
+    rng = random.Random(59)
+    for g in [*(random_graph(rng, rng.randrange(1, 10), rng.random())
+                for _ in range(300)), path(9), *cycle_unions()]:
+        n = g.order
+        # a random ordered partition into consecutive runs of a shuffle
+        vertices = rng.sample(range(n), n)
+        cuts = sorted({0, n, *rng.sample(range(1, n + 1), rng.randrange(n))})
+        cells = [sum(1 << v for v in vertices[i:j])
+                 for i, j in zip(cuts, cuts[1:])]
+        out = _refine(g.rows, cells)
+        assert sum(out) == (1 << n) - 1 and all(out)
+        # each output cell lies in one input cell, in the input's order
+        owner = [next(i for i, c in enumerate(cells) if cell & c == cell)
+                 for cell in out]
+        assert owner == sorted(owner)
+        for cell in out:
+            assert len({tuple((g.rows[v] & c).bit_count() for c in out)
+                        for v in bits(cell)}) == 1
+        perm = rng.sample(range(n), n)
+
+        def moved(mask):
+            return sum(1 << perm[v] for v in bits(mask))
+
+        assert _refine(relabel(g, perm).rows, [*map(moved, cells)]) == [
+            *map(moved, out)]
+
+
+def test_certificate_classes_are_isomorphism_classes():
+    # equal certificates <=> equal canonical forms, on relabelled pairs
+    rng = random.Random(61)
+    graphs = [random_graph(rng, n, rng.random())
+              for n in (rng.randrange(0, 10) for _ in range(1500))]
+    graphs += [g for g in cycle_unions() for _ in range(10)]
+    pairs = set()
+    for g in graphs:
+        cert = _certificate(g.rows)
+        perm = rng.sample(range(g.order), g.order)
+        assert _certificate(relabel(g, perm).rows) == cert, to_graph6(g)
+        pairs.add(((g.order, cert), canonical_form(g)))
+    assert len({c for c, _ in pairs}) == len({f for _, f in pairs}) == len(pairs)
+    assert len(pairs) > 400
+
+
+def test_certificate_against_reference():
+    # every graph of order <= 5 and random ones of order 6 against the
+    # permutation scan's classes; the value is the unpruned tree's least
+    # leaf on those and on the cycle unions
+    rng = random.Random(67)
+    graphs = [from_edges(n, edges) for n in range(6)
+              for size in range(n * (n - 1) // 2 + 1)
+              for edges in combinations(combinations(range(n), 2), size)]
+    graphs += [random_graph(rng, 6, rng.random()) for _ in range(60)]
+    pairs = set()
+    for g in graphs:
+        cert = _certificate(g.rows)
+        assert cert == ref_certificate(g), to_graph6(g)
+        pairs.add(((g.order, cert), (g.order, ref_canonical_code(g))))
+    assert len({c for c, _ in pairs}) == len({r for _, r in pairs}) == len(pairs)
+    for g in cycle_unions():
+        assert _certificate(g.rows) == ref_certificate(g), to_graph6(g)
 
 
 def test_bit_code_round_trip():

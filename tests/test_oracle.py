@@ -11,9 +11,12 @@ from oremax import (DISCONNECTED, BudgetError, CapacityError, Parameters,
                     from_graph6, is_isomorphic, is_k_connected,
                     layer_structure_check, max_size_bruteforce, sweep,
                     to_graph6, verify_theorem)
-from oremax.graphs import bit_code, from_edges, pair_list
-from oremax.oracle import (_alive, _candidate_ok, _climb, _cut_masks,
-                           _dedup_canonical, _deletions, _scan_level, _search)
+from oremax import oracle
+from oremax.graphs import (Graph, _certificate, bit_code, from_edges,
+                           pair_list)
+from oremax.oracle import (DEFAULT_BUDGET, _alive, _candidate_ok, _climb,
+                           _cut_masks, _dedup_canonical, _deletions,
+                           _scan_level, _search)
 
 #: every (n, k, d) that ``sweep(7)`` verifies
 SWEEP_7 = [(n, k, d) for n in range(3, 8) for k in range(1, 8)
@@ -134,6 +137,48 @@ def test_climb_matches_labelled_scan():
         max_size, codes = _search(n, k, d, budget=10**9)
         assert _climb(n, k, d, budget=10**9) == (
             max_size, _dedup_canonical(n, codes)), (n, k, d)
+
+
+def test_certificate_splits_climbed_graphs_like_canonical_form(monkeypatch):
+    # every alive labelled graph the SWEEP_7 climbs visit, per order
+    visited = set()
+
+    def recording_alive(rows, *args):
+        verdict = _alive(rows, *args)
+        if verdict is not None:
+            visited.add(rows)
+        return verdict
+
+    monkeypatch.setattr(oracle, "_alive", recording_alive)
+    for n, k, d in SWEEP_7:
+        _climb(n, k, d, budget=10**9)
+    pairs = {((len(rows), _certificate(rows)),
+              canonical_form(Graph(len(rows), rows))) for rows in visited}
+    assert len({c for c, _ in pairs}) == len({f for _, f in pairs}) == len(pairs)
+    assert len(visited) > 5000
+
+
+def test_climb_canonicalises_only_the_winners(monkeypatch):
+    # the level dedup runs on certificates: canonical forms are made
+    # for the exact-d graphs of the last level at most
+    calls = exact = 0
+
+    def counting_form(g):
+        nonlocal calls
+        calls += 1
+        return canonical_form(g)
+
+    def counting_alive(*args):
+        nonlocal exact
+        verdict = _alive(*args)
+        exact += verdict is True
+        return verdict
+
+    monkeypatch.setattr(oracle, "canonical_form", counting_form)
+    monkeypatch.setattr(oracle, "_alive", counting_alive)
+    max_size, extremal = _climb(7, 1, 5, DEFAULT_BUDGET)
+    assert (max_size, len(extremal)) == (8, 2)
+    assert calls <= exact < 100
 
 
 def full_enumeration():
