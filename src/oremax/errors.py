@@ -6,8 +6,8 @@ class CapacityError(Exception):
 
 
 class BudgetError(CapacityError):
-    """An exhaustive search would pass its budget: edge deletions tried on
-    alive classes for the climb, labelled candidates for the labelled scan."""
+    """An exhaustive search would pass its budget of edge deletions tried
+    on alive classes."""
 
 
 class ParameterError(ValueError):

@@ -237,15 +237,17 @@ def enumerate_family(p: Parameters) -> list[Graph]:
     """All graphs attaining the CORRECTED maximum, via window candidates.
 
     Builds every window/side assignment, keeps those with diameter
-    exactly d for which ``is_extremal`` holds, and returns one
-    canonically relabelled graph per isomorphism class, sorted by
-    canonical encoding.
+    exactly d for which ``is_extremal``'s test holds (given that
+    diameter, computed once per candidate), and returns one canonically
+    relabelled graph per isomorphism class, sorted by canonical encoding.
     """
     check_canonical_order(p.n)
     seen: set[str] = set()
     for spec in _candidate_specs(p):
         g, _ = build_family_member(p, spec)
-        if diameter(g) == p.d and is_extremal(g, p.k):
+        dia = diameter(g)
+        if dia == p.d and _extremal(g, p.k, dia,
+                                    lambda: is_k_connected(g, p.k)):
             seen.add(canonical_form(g).g6)
     return [from_graph6(text) for text in sorted(seen)]
 

@@ -20,9 +20,9 @@ integer encoding produced by :func:`bit_code`.  A graph6 line is that
 integer in six-bit groups: the order byte, then the bit code
 zero-padded on the right to a multiple of six bits, each group offset
 by 63.  Only :func:`bit_code` and :func:`from_bit_code` convert between
-that cell order and adjacency rows (the oracle's codes included); the
-two vertex-order searches behind :func:`canonical_form` and
-:func:`_certificate` append the same columns, one vertex at a time.
+that cell order and adjacency rows; the two vertex-order searches
+behind :func:`canonical_form` and :func:`_certificate` append the same
+columns, one vertex at a time.
 
 The package's only bitmask loops live here: :func:`bits` lists a mask's
 set bits, :func:`reach` floods breadth-first over adjacency rows (every
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, Graph6ParseError, ParameterError
@@ -208,12 +207,6 @@ def _mask_from(vertices: Iterable[int], order: int) -> int:
             raise IndexError(f"vertex {v} out of range for order {order}")
         mask |= 1 << v
     return mask
-
-
-@lru_cache(maxsize=None)
-def pair_list(order: int) -> tuple[tuple[int, int], ...]:
-    """Upper-triangle cells in column order: (0,1), (0,2), (1,2), ..."""
-    return tuple((i, j) for j in range(order) for i in range(j))
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,8 @@ so one edge per pair of twin classes is deleted.  Each level is deduped
 by the partition-refinement certificate ``graphs._certificate``, and
 only the maximizers, one per class, get a canonical form.
 
-The labelled scan (``_search``: every complement of each size, in
-ascending size, with orbit dedup by ``_dedup_canonical``) stays as the
-tests' referee.  It shares the climb's connectivity screen
-(``_cut_masks`` and ``induced_disconnected``), which only the tests of
-``_candidate_ok`` and ``_alive`` against the public invariants guard.
+The tests referee the climb with a labelled scan of their own, over
+every complement of each size, that shares none of its code.
 
 Everything is guarded: order 8, and a budget on edge deletions that
 aborts loudly before a level instead of truncating silently.
@@ -30,16 +27,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations
-from math import comb
-from typing import Sequence
 
 from .errors import BudgetError, CapacityError
 from .extremal import (FormulaMode, Parameters, backbone_order,
                        enumerate_family, max_size_formula)
 from .graphs import (Graph, _certificate, bit_code, bits, canonical_form,
-                     from_bit_code, from_graph6, lower_twins, pair_list,
-                     reach, relabeling_codes, subset_masks, to_graph6)
+                     from_graph6, lower_twins, reach, relabeling_codes,
+                     subset_masks, to_graph6)
 from .metrics import diameter, induced_disconnected, is_k_connected
 
 DEFAULT_ORDER_GUARD = 8
@@ -81,105 +75,6 @@ class OracleReport:
 def _cut_masks(n: int, k: int) -> list[int]:
     """Bitmasks of every vertex subset of size 1..k-1."""
     return [mask for size in range(1, k) for mask in subset_masks(n, size)]
-
-
-def _far_ok(rows: list[int], far: list[tuple[int, int]], d: int) -> bool:
-    """Check pairs already known to be at distance >= 3.
-
-    True iff every far pair lies at distance <= d and at least one lies
-    at distance exactly d.  Grouped by source so each source is swept by
-    one BFS capped at depth d.
-    """
-    hit_d = False
-    by_src: dict[int, int] = {}
-    for u, v in far:
-        by_src[u] = by_src.get(u, 0) | 1 << v
-    for u, targets in by_src.items():
-        reached, at_d = reach(rows, 1 << u, depth=d)
-        if targets & ~reached:
-            return False
-        if targets & at_d:
-            hit_d = True
-    return hit_d
-
-
-def _candidate_ok(rows: list[int], missing: Sequence[tuple[int, int]],
-                  k: int, d: int, full: int, cut_masks: list[int]) -> bool:
-    """True iff the graph has diameter exactly d and connectivity >= k.
-
-    ``missing`` must be exactly the non-adjacent pairs and the order must
-    exceed k; then the verdict matches diameter() + is_k_connected().
-    Cheap screens first: a non-adjacent pair with a common neighbour is
-    at distance 2, so d = 2 needs every missing pair screened and d >= 3
-    needs at least one to fail the screen.
-    """
-    if d == 2:
-        if not missing:
-            return False
-        for u, v in missing:
-            if not rows[u] & rows[v]:
-                return False
-    else:
-        far = [(u, v) for u, v in missing if not rows[u] & rows[v]]
-        if not far or not _far_ok(rows, far, d):
-            return False
-    for cut in cut_masks:
-        if induced_disconnected(rows, full & ~cut):
-            return False
-    return True
-
-
-def _scan_level(n: int, k: int, d: int, level: int,
-                cut_masks: list[int]) -> list[int]:
-    """Bit codes of all valid graphs whose complement has ``level`` edges."""
-    full = (1 << n) - 1
-    base = [full ^ (1 << v) for v in range(n)]
-    winners = []
-    for missing in combinations(pair_list(n), level):
-        rows = base[:]
-        for u, v in missing:
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-        if _candidate_ok(rows, missing, k, d, full, cut_masks):
-            winners.append(bit_code(Graph(n, tuple(rows))))
-    return winners
-
-
-def _search(n: int, k: int, d: int,
-            budget: int) -> tuple[int | None, list[int]]:
-    """Ascend complement levels; first feasible level gives the maximum."""
-    m = n * (n - 1) // 2
-    cut_masks = _cut_masks(n, k)
-    used = 0
-    for level in range(m + 1):
-        used += comb(m, level)
-        if used > budget:
-            raise BudgetError(
-                f"level {level} would push the scan past {budget} candidates")
-        winners = _scan_level(n, k, d, level, cut_masks)
-        if winners:
-            return m - level, winners
-    return None, []
-
-
-def _dedup_canonical(n: int, codes: list[int]) -> list[str]:
-    """One canonical graph6 string per isomorphism class of ``codes``.
-
-    The labelled winner set is closed under relabelling, so its minimum
-    is the canonical code of its own class; subtracting that class's
-    whole orbit and repeating costs one orbit expansion per class
-    instead of one canonicalisation per labelled graph.
-    """
-    remaining = set(codes)
-    out = []
-    while remaining:
-        rep = from_bit_code(n, min(remaining))
-        orbit = relabeling_codes(rep)
-        if not orbit <= remaining:
-            raise RuntimeError("winner set not closed under relabelling")
-        remaining -= orbit
-        out.append(to_graph6(rep))
-    return sorted(out)
 
 
 def _alive(rows: tuple[int, ...], d: int, full: int,
@@ -274,7 +169,7 @@ def max_size_bruteforce(p: Parameters, *,
     max_size, extremal = _climb(p.n, p.k, p.d, budget)
     for text in extremal:
         g = from_graph6(text)
-        # the least code of the orbit, as _dedup_canonical prints it
+        # canonical: the least code of its orbit
         if (g.size != max_size or diameter(g) != p.d
                 or not is_k_connected(g, p.k)
                 or bit_code(g) != min(relabeling_codes(g))):

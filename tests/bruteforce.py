@@ -1,17 +1,18 @@
 """Slow reference implementations used only by the tests.
 
 Deliberately dumb: all-pairs relaxation for distances, subset
-enumeration for cuts, full permutation scans for canonical codes, and
-the individualisation-refinement tree with no pruning for the
-certificate.  They share no code with the package so disagreements
-mean real bugs.
+enumeration for cuts, full permutation scans for canonical codes, the
+individualisation-refinement tree with no pruning for the certificate,
+and the labelled scan over every complement of each size for the
+oracle's maximum and maximizers.  They share no code with the package
+so disagreements mean real bugs.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from oremax import DISCONNECTED, Graph, from_edges
+from oremax import DISCONNECTED, Graph, from_edges, to_graph6
 
 INF = float("inf")
 
@@ -83,18 +84,21 @@ def brute_lex_min_cut(g: Graph, kappa: int) -> int:
     raise AssertionError("no separating subset of the given size")
 
 
-def _st_connected(g: Graph, s: int, t: int, removed: int) -> bool:
-    seen = 1 << s
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        m = g.rows[u] & ~removed & ~seen
+def _flood(rows, seed: int, allowed: int = -1, depth: int = -1):
+    # (reached, last frontier) of a breadth-first flood from the mask
+    # seed inside allowed, at most depth steps (no limit if negative)
+    reached = frontier = seed
+    while depth and frontier:
+        grown = 0
+        m = frontier
         while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            seen |= 1 << v
-            stack.append(v)
-    return bool(seen >> t & 1)
+            low = m & -m
+            grown |= rows[low.bit_length() - 1]
+            m ^= low
+        frontier = grown & allowed & ~reached
+        reached |= frontier
+        depth -= 1
+    return reached, frontier
 
 
 def brute_min_separator(g: Graph, s: int, t: int) -> int:
@@ -105,24 +109,41 @@ def brute_min_separator(g: Graph, s: int, t: int) -> int:
             mask = 0
             for v in cut:
                 mask |= 1 << v
-            if not _st_connected(g, s, t, mask):
+            if not _flood(g.rows, 1 << s, ~mask)[0] >> t & 1:
                 return size
     raise AssertionError("removing all interior vertices must separate")
 
 
-def _order_code(g: Graph, order) -> int:
-    # the upper-triangle cells, column by column, of g relabelled so
-    # that order[i] becomes vertex i
+def cells(order: int) -> list[tuple[int, int]]:
+    """Upper-triangle cells in column order: (0,1), (0,2), (1,2), ..."""
+    return [(i, j) for j in range(order) for i in range(j)]
+
+
+def _order_code(rows, order) -> int:
+    # the upper-triangle cells, column by column, of the graph relabelled
+    # so that order[i] becomes vertex i
     code = 0
     for j in range(len(order)):
         for i in range(j):
-            code = code << 1 | (g.rows[order[i]] >> order[j] & 1)
+            code = code << 1 | (rows[order[i]] >> order[j] & 1)
     return code
+
+
+def _code_rows(order: int, code: int) -> list[int]:
+    # the adjacency rows whose identity-order code is ``code``
+    rows = [0] * order
+    for i, j in reversed(cells(order)):
+        if code & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        code >>= 1
+    return rows
 
 
 def ref_canonical_code(g: Graph) -> int:
     """Minimum relabelled bit code by plain permutation scanning."""
-    return min(_order_code(g, perm) for perm in permutations(range(g.order)))
+    return min(_order_code(g.rows, perm)
+               for perm in permutations(range(g.order)))
 
 
 def ref_certificate(g: Graph) -> int:
@@ -149,7 +170,7 @@ def ref_certificate(g: Graph) -> int:
         cells = refine(cells)
         wide = [i for i, cell in enumerate(cells) if len(cell) > 1]
         if not wide:
-            yield _order_code(g, [cell[0] for cell in cells])
+            yield _order_code(g.rows, [cell[0] for cell in cells])
             return
         i = wide[0]
         for v in cells[i]:
@@ -157,3 +178,93 @@ def ref_certificate(g: Graph) -> int:
             yield from leaves(cells[:i] + [[v], rest] + cells[i + 1:])
 
     return min(leaves([list(range(g.order))] if g.order else []))
+
+
+def keep_masks(order: int, k: int) -> list[int]:
+    """The vertex masks left by removing each subset of 1..k-1 vertices."""
+    full = (1 << order) - 1
+    return [full & ~sum(1 << v for v in cut) for size in range(1, k)
+            for cut in combinations(range(order), size)]
+
+
+def candidate_ok(rows: list[int], missing, d: int, keeps: list[int]) -> bool:
+    """True iff the graph has diameter exactly d and no mask of ``keeps``
+    induces a disconnected graph.
+
+    ``missing`` must be exactly the non-adjacent pairs.  A missing pair
+    with a common neighbour is at distance 2, so d = 2 needs every
+    missing pair to have one and d >= 3 needs a pair without one (a far
+    pair) at distance d and every far pair within d.  Passing that
+    makes the graph connected, so ``keep_masks(order, k)`` then decides
+    connectivity >= k.
+    """
+    if d == 2:
+        if not missing:
+            return False
+        for u, v in missing:
+            if not rows[u] & rows[v]:
+                return False
+    else:
+        far: dict[int, int] = {}
+        for u, v in missing:
+            if not rows[u] & rows[v]:
+                far[u] = far.get(u, 0) | 1 << v
+        hit_d = False
+        for u, targets in far.items():
+            reached, at_d = _flood(rows, 1 << u, depth=d)
+            if targets & ~reached:
+                return False
+            hit_d = hit_d or bool(targets & at_d)
+        if not hit_d:
+            return False
+    for keep in keeps:
+        if _flood(rows, keep & -keep, keep)[0] != keep:
+            return False
+    return True
+
+
+def scan_level(order: int, k: int, d: int, level: int) -> list[int]:
+    """Codes of the labelled graphs with diameter d and connectivity >= k
+    whose complement has ``level`` edges."""
+    full = (1 << order) - 1
+    base = [full ^ 1 << v for v in range(order)]
+    keeps = keep_masks(order, k)
+    winners = []
+    for missing in combinations(cells(order), level):
+        rows = base[:]
+        for u, v in missing:
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        if candidate_ok(rows, missing, d, keeps):
+            winners.append(_order_code(rows, range(order)))
+    return winners
+
+
+def labelled_search(order: int, k: int, d: int) -> tuple[int | None, list[int]]:
+    """Maximum size and its labelled winners' codes, (None, []) if none:
+    complement levels ascend, and the first with a winner gives both."""
+    m = order * (order - 1) // 2
+    for level in range(m + 1):
+        winners = scan_level(order, k, d, level)
+        if winners:
+            return m - level, winners
+    return None, []
+
+
+def dedup_canonical(order: int, codes: list[int]) -> list[str]:
+    """Sorted graph6 strings, one per isomorphism class of ``codes``.
+
+    The least code left is printed once its orbit, expanded over all
+    relabellings, lies in the set: it is then the least of that orbit.
+    A set of codes not closed under relabelling raises RuntimeError.
+    """
+    remaining = set(codes)
+    out = []
+    while remaining:
+        rows = _code_rows(order, min(remaining))
+        orbit = {_order_code(rows, perm) for perm in permutations(range(order))}
+        if not orbit <= remaining:
+            raise RuntimeError("winner set not closed under relabelling")
+        remaining -= orbit
+        out.append(to_graph6(Graph(order, tuple(rows))))
+    return sorted(out)

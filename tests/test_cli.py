@@ -204,6 +204,27 @@ def test_check_exits_with_the_worst_line_code(capsys, monkeypatch):
         ["line 1", "line 3"]
 
 
+def test_check_reports_the_order_0_graph_and_rows_the_next(capsys,
+                                                          monkeypatch):
+    # "?" is well-formed graph6, but order 0 has no diameter
+    monkeypatch.setattr("sys.stdin", io.StringIO("?\n@\n"))
+    assert run(["check", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("oremax: error: line 1: diameter undefined "
+                            "for order-0 graph\n")
+    assert captured.out.splitlines()[1:] == ["@\t1\t0\t0\t0\tfalse"]
+
+
+def test_sweep_n_max_7_matches_the_committed_table(capsys):
+    golden = (Path(__file__).parent / "data" / "sweep7.tsv").read_text()
+    rows = [line.split("\t") for line in golden.splitlines()]
+    assert len(rows) == 28
+    assert (rows[0][4], rows[0][6]) == ("corrected_match", "family_match")
+    assert all(row[4] == row[6] == "true" for row in rows[1:])
+    assert run(["sweep", "--n-max", "7"]) == 0
+    assert capsys.readouterr().out == golden
+
+
 def test_check_rows_an_order_11_path_with_no_flow(capsys, monkeypatch):
     def no_flows(*args, **kwargs):
         raise AssertionError("a flow ran")

@@ -283,6 +283,25 @@ def test_enumerate_family_guard():
         enumerate_family(Parameters(11, 1, 10))
 
 
+@pytest.mark.parametrize("n, k, d", [(10, 1, 5), (10, 2, 3), (9, 2, 4)])
+def test_enumerate_family_runs_one_diameter_per_candidate(monkeypatch,
+                                                          n, k, d):
+    # the exact-d pin and the extremal test share one diameter
+    import oremax.extremal
+    from oremax.extremal import _candidate_specs
+    calls = 0
+
+    def counting_diameter(g):
+        nonlocal calls
+        calls += 1
+        return diameter(g)
+
+    monkeypatch.setattr(oremax.extremal, "diameter", counting_diameter)
+    p = Parameters(n, k, d)
+    assert enumerate_family(p)
+    assert calls == len(list(_candidate_specs(p)))
+
+
 def test_candidate_windows_respect_caps():
     # whatever enumeration keeps, the raw constructions already bound
     # each outside vertex by the cap and by three consecutive blocks

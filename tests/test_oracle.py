@@ -4,19 +4,19 @@ from math import comb
 
 import pytest
 
-from bruteforce import (brute_vertex_connectivity, fw_diameter, random_graph,
-                        ref_canonical_code)
+from bruteforce import (brute_vertex_connectivity, candidate_ok, cells,
+                        dedup_canonical, fw_diameter, keep_masks,
+                        labelled_search, random_graph, ref_canonical_code,
+                        scan_level)
 from oremax import (DISCONNECTED, BudgetError, CapacityError, Parameters,
                     bfs_layers, canonical_form, diameter, enumerate_family,
                     from_graph6, is_isomorphic, is_k_connected,
                     layer_structure_check, max_size_bruteforce, sweep,
                     to_graph6, verify_theorem)
 from oremax import oracle
-from oremax.graphs import (Graph, _certificate, bit_code, from_edges,
-                           pair_list)
-from oremax.oracle import (DEFAULT_BUDGET, _alive, _candidate_ok, _climb,
-                           _cut_masks, _dedup_canonical, _deletions,
-                           _scan_level, _search)
+from oremax.graphs import Graph, _certificate, bit_code, from_edges
+from oremax.oracle import (DEFAULT_BUDGET, _alive, _climb, _cut_masks,
+                           _deletions)
 
 #: every (n, k, d) that ``sweep(7)`` verifies
 SWEEP_7 = [(n, k, d) for n in range(3, 8) for k in range(1, 8)
@@ -24,7 +24,7 @@ SWEEP_7 = [(n, k, d) for n in range(3, 8) for k in range(1, 8)
 
 
 def test_candidate_ok_equals_public_invariants():
-    # the hot-loop verdict must agree with the slow public operations
+    # the labelled scan's screens must agree with the slow references
     rng = random.Random(2718)
     for _ in range(250):
         n = rng.randrange(4, 8)
@@ -33,9 +33,8 @@ def test_candidate_ok_equals_public_invariants():
         d = rng.randrange(2, 5)
         missing = [(u, v) for u in range(n) for v in range(u + 1, n)
                    if not g.has_edge(u, v)]
-        got = _candidate_ok(list(g.rows), missing, k, d, (1 << n) - 1,
-                            _cut_masks(n, k))
-        want = diameter(g) == d and is_k_connected(g, k)
+        got = candidate_ok(list(g.rows), missing, d, keep_masks(n, k))
+        want = fw_diameter(g) == d and brute_vertex_connectivity(g) >= k
         assert got == want, (to_graph6(g), k, d)
 
 
@@ -65,10 +64,10 @@ def test_twin_deletions_reach_every_child_class():
 
         def child(u, v):
             return canonical_form(from_edges(
-                n, [e for e in pair_list(n)
+                n, [e for e in cells(n)
                     if g.has_edge(*e) and e != (u, v)]))
 
-        edges = [e for e in pair_list(n) if g.has_edge(*e)]
+        edges = [e for e in cells(n) if g.has_edge(*e)]
         kept = _deletions(g.rows)
         assert set(kept) <= set(edges)
         assert {child(u, v) for u, v in kept} == {
@@ -122,8 +121,8 @@ def test_budget_counts_edge_deletions():
 
 def test_infeasible_search_path():
     # no graph on 3 vertices has diameter 3; unreachable through
-    # Parameters, so exercised on the raw search
-    assert _search(3, 1, 3, budget=10**6) == (None, [])
+    # Parameters, so exercised on the labelled referee
+    assert labelled_search(3, 1, 3) == (None, [])
 
 
 def test_infeasible_climb():
@@ -131,12 +130,12 @@ def test_infeasible_climb():
 
 
 def test_climb_matches_labelled_scan():
-    # the labelled scan shares no search code with the climb
+    # the labelled scan in bruteforce shares no code with the climb
     assert len(SWEEP_7) == 27
     for n, k, d in SWEEP_7:
-        max_size, codes = _search(n, k, d, budget=10**9)
+        max_size, codes = labelled_search(n, k, d)
         assert _climb(n, k, d, budget=10**9) == (
-            max_size, _dedup_canonical(n, codes)), (n, k, d)
+            max_size, dedup_canonical(n, codes)), (n, k, d)
 
 
 def test_certificate_splits_climbed_graphs_like_canonical_form(monkeypatch):
@@ -188,10 +187,9 @@ def full_enumeration():
     code; the maximizers are the valid ones of the largest size.
     """
     for n in range(3, 6):
-        cells = pair_list(n)
         graphs = []
-        for size in range(len(cells) + 1):
-            for edges in combinations(cells, size):
+        for size in range(comb(n, 2) + 1):
+            for edges in combinations(cells(n), size):
                 g = from_edges(n, edges)
                 graphs.append((g, fw_diameter(g),
                                brute_vertex_connectivity(g)))
@@ -213,7 +211,7 @@ def test_climb_matches_full_enumeration():
 def test_labelled_scan_matches_full_enumeration():
     # the referee's labelled winners, each once and in graphs' cell order
     for n, k, d, maximizers in full_enumeration():
-        max_size, codes = _search(n, k, d, budget=10**9)
+        max_size, codes = labelled_search(n, k, d)
         assert max_size == maximizers[0].size, (n, k, d)
         assert sorted(codes) == sorted(bit_code(g) for g in maximizers), (
             n, k, d)
@@ -228,7 +226,7 @@ def test_no_denser_graph_exists():
         level = comb(n, 2) - r.max_size
         if level == 0:
             continue
-        assert _scan_level(n, k, d, level - 1, _cut_masks(n, k)) == []
+        assert scan_level(n, k, d, level - 1) == []
 
 
 def test_dedup_collapses_orbits():
@@ -238,12 +236,12 @@ def test_dedup_collapses_orbits():
     from oremax import relabel
     for perm in permutations(range(4)):
         codes.add(bit_code(relabel(g, perm)))
-    out = _dedup_canonical(4, list(codes))
+    out = dedup_canonical(4, list(codes))
     assert len(out) == 1
     assert is_isomorphic(from_graph6(out[0]), g)
     # a labelled set that is not closed under relabelling is a search bug
     with pytest.raises(RuntimeError):
-        _dedup_canonical(4, [min(codes)])
+        dedup_canonical(4, [min(codes)])
 
 
 def test_verify_theorem_smallest():
