@@ -194,10 +194,18 @@ def subset_masks(order: int, size: int) -> Iterator[int]:
 
 def lower_twins(rows: Sequence[int]) -> list[int]:
     """For each vertex v, the mask of its twins u < v: the vertices whose
-    neighbourhood equals v's apart from u and v themselves."""
-    return [sum(1 << u for u in range(v)
-                if rows[u] & ~(1 << v) == rows[v] & ~(1 << u))
-            for v in range(len(rows))]
+    neighbourhood equals v's apart from u and v themselves.  Such u and
+    v have equal rows when non-adjacent and equal rows plus themselves
+    when adjacent, so one pass keyed by both finds every class."""
+    apart: dict[int, int] = {}
+    joined: dict[int, int] = {}
+    twins = []
+    for v, row in enumerate(rows):
+        closed = row | 1 << v
+        twins.append(apart.get(row, 0) | joined.get(closed, 0))
+        apart[row] = apart.get(row, 0) | 1 << v
+        joined[closed] = joined.get(closed, 0) | 1 << v
+    return twins
 
 
 def _mask_from(vertices: Iterable[int], order: int) -> int:
@@ -251,14 +259,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced by ``vertices``, relabelled by ascending original index."""
     mask = _mask_from(vertices, g.order)
     kept = list(bits(mask))
-    rows = []
-    for u in kept:
-        row = 0
-        for new_v, old_v in enumerate(kept):
-            if g.rows[u] >> old_v & 1:
-                row |= 1 << new_v
-        rows.append(row)
-    return Graph(len(kept), tuple(rows))
+    label = {old: 1 << new for new, old in enumerate(kept)}
+    return Graph(len(kept), tuple(sum(map(label.__getitem__,
+                                          bits(g.rows[u] & mask)))
+                                  for u in kept))
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:

@@ -6,12 +6,13 @@ of internally disjoint paths between a non-adjacent pair equals the
 minimum separator size.  Each pair is a unit-capacity max flow on the
 vertex-split digraph, found by augmenting paths that step along the
 adjacency bitmask rows.  ``connectivity`` and ``is_k_connected`` share
-one loop (Even's bound): one BFS rules out a disconnected graph and
-settles kappa <= 1 with no flow; past that it starts from the minimum
-degree and tries source rows 0, 1, ... only while the row is below the
-best value so far, which settles at kappa after rows 0..kappa-1 in the
-usual case and row kappa at worst, O(kappa * n) flows;
-``is_k_connected`` stops at the first value below k.
+one loop (Esfahanian & Hakimi's pairs): one BFS rules out a
+disconnected graph and settles kappa <= 1 with no flow; past that it
+starts from the minimum degree delta, takes a vertex v of that degree,
+and tries v against each non-neighbour and then each non-adjacent pair
+of v's neighbours, at most (n - 1 - delta) + C(delta, 2) flows, each
+capped at the best value so far; ``is_k_connected`` stops at the first
+value below k.
 ``vertex_connectivity`` adds the lexicographically least minimum
 cut, chosen greedily one vertex at a time: each candidate costs one
 connectivity test of G minus the chosen vertices and it, and the least
@@ -23,6 +24,7 @@ over adjacency rows is a call to :func:`oremax.graphs.reach` or
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -184,19 +186,25 @@ def induced_disconnected(rows: Sequence[int], keep: int) -> bool:
 
 def _kappa(g: Graph, cap: int, exact: bool = True) -> int:
     # min(kappa, cap), with kappa(K_n) = n - 1; no flow exceeds the
-    # minimum degree or order - 1.  A separator S smaller than best
-    # misses a row below best, and the least vertex outside S is cut by
-    # S from a later one.  Without ``exact``, stop once best < cap.  One
-    # BFS settles best <= 1 with no flow (no separator is empty).
-    best = min(cap, g.order - 1, *map(int.bit_count, g.rows))
+    # minimum degree or order - 1.  One BFS settles best <= 1 with no
+    # flow (no separator is empty).  Past that, with v of least degree,
+    # a minimum separator S either misses v and cuts it from a
+    # non-neighbour, or holds v, and then (being minimal) cuts two
+    # non-adjacent neighbours of v apart (Esfahanian & Hakimi).
+    # Without ``exact``, stop once best < cap.
+    degrees = [row.bit_count() for row in g.rows]
+    best = min(cap, g.order - 1, *degrees)
     if best > 0 and not is_connected(g):
         return 0
     if best <= 1:
         return best
-    pairs = ((s, t) for s in range(g.order) for t in range(s + 1, g.order)
-             if not g.rows[s] >> t & 1)
+    v = degrees.index(min(degrees))
+    near = g.rows[v]
+    pairs = itertools.chain(
+        ((v, t) for t in bits((1 << g.order) - 1 ^ near ^ 1 << v)),
+        ((a, b) for a in bits(near) for b in bits(near & ~g.rows[a] & -2 << a)))
     for s, t in pairs:
-        if s >= best or (best < cap and not exact):
+        if best < cap and not exact:
             break
         # values above the running minimum cannot matter
         best = min(best, local_connectivity(g, s, t, limit=best))

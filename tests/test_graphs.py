@@ -118,6 +118,17 @@ def test_induced_subgraph_backbone_middle_blocks():
     assert inner.order == 4 and inner.size == 6
 
 
+def test_induced_subgraph_matches_pairwise_definition():
+    rng = random.Random(29)
+    for _ in range(200):
+        g = random_graph(rng, rng.randrange(0, 12), rng.random())
+        kept = sorted(rng.sample(range(g.order), rng.randrange(g.order + 1)))
+        want = from_edges(len(kept), [(i, j) for (i, u), (j, v)
+                                      in combinations(enumerate(kept), 2)
+                                      if g.has_edge(u, v)])
+        assert induced_subgraph(g, reversed(kept)) == want
+
+
 def test_is_clique():
     g = k_n(4)
     assert is_clique(g, [2])
@@ -209,10 +220,18 @@ def test_lower_twins_match_definition():
                            rng.choice([0.1, 0.5, 0.9, rng.random()]))
               for _ in range(300)]
     backbone = build_backbone(2, 3)[0]
-    for g in graphs + [backbone]:
+    # {0, 3, 6} share N = {1, 2, 4} and are pairwise non-adjacent; 1 and
+    # 4 are adjacent with equal closed neighbourhoods {0, 1, 3, 4, 6};
+    # 2 has the open class's neighbours plus 5, so it twins with no one
+    mixed = from_edges(7, [(1, 4), (2, 5),
+                           *((u, w) for u in (0, 3, 6) for w in (1, 2, 4))])
+    flipped = relabel(mixed, [6 - v for v in range(7)])
+    for g in graphs + [backbone, mixed, flipped]:
         assert lower_twins(g.rows) == want(g), to_graph6(g)
     # K1 v K2 v K2 v K1: each middle block is one twin class
     assert lower_twins(backbone.rows) == [0, 0, 1 << 1, 0, 1 << 3, 0]
+    assert lower_twins(mixed.rows) == [0, 0, 0, 1 << 0, 1 << 1, 0,
+                                       1 << 0 | 1 << 3]
     for n in range(8):
         assert lower_twins(k_n(n).rows) == [(1 << v) - 1 for v in range(n)]
 

@@ -1,6 +1,8 @@
 import random
 from itertools import combinations
+from math import comb
 
+import networkx as nx
 import pytest
 
 from bruteforce import (_connected_on, brute_lex_min_cut, brute_min_separator,
@@ -10,7 +12,7 @@ from oremax import (DISCONNECTED, ConnectivityResult, FamilyMemberSpec,
                     build_backbone, build_family_member, connectivity,
                     diameter, empty_graph, from_edges, is_connected,
                     is_k_connected, layer_structure_check,
-                    local_connectivity, vertex_connectivity)
+                    local_connectivity, to_graph6, vertex_connectivity)
 from oremax import metrics
 from oremax.metrics import induced_disconnected
 
@@ -299,28 +301,88 @@ def test_is_k_connected():
     (3, build_backbone(3, 4)[0]),
     (3, from_edges(43, [(u, v) for u in range(3) for v in range(3, 43)])),
 ])
-def test_flows_stay_below_the_source_row_bound(monkeypatch, kappa, g):
-    # once a flow of value kappa is found, row kappa is not tried
-    sources = []
-    inner = metrics.local_connectivity
+def test_flows_follow_the_esfahanian_hakimi_pairs(monkeypatch, kappa, g):
+    # each kappa loop pairs v, the least vertex of least degree, with its
+    # non-neighbours, then pairs v's non-adjacent neighbours, and runs at
+    # most (n - 1 - delta) + C(delta, 2) flows
+    calls = []
+    inner_kappa, inner_flow = metrics._kappa, metrics.local_connectivity
 
-    def recording(h, s, t, **kwargs):
-        sources.append(s)
-        return inner(h, s, t, **kwargs)
+    def kappa_call(h, *args, **kwargs):
+        calls.append((h, []))
+        return inner_kappa(h, *args, **kwargs)
 
-    monkeypatch.setattr(metrics, "local_connectivity", recording)
+    def flow_call(h, s, t, **kwargs):
+        assert h is calls[-1][0]
+        calls[-1][1].append((s, t))
+        return inner_flow(h, s, t, **kwargs)
+
+    def check_calls():
+        count = 0
+        for h, flows in calls:
+            delta = min(map(h.degree, h.vertices()))
+            v = min(h.vertices(), key=h.degree)
+            for s, t in flows:
+                if s == v:
+                    assert t != v and not h.has_edge(v, t)
+                else:
+                    assert s < t and h.has_edge(v, s) and h.has_edge(v, t)
+                    assert not h.has_edge(s, t)
+            assert len(flows) == len(set(flows))
+            assert len(flows) <= h.order - 1 - delta + comb(delta, 2)
+            count += len(flows)
+        calls.clear()
+        return count
+
+    monkeypatch.setattr(metrics, "_kappa", kappa_call)
+    monkeypatch.setattr(metrics, "local_connectivity", flow_call)
     assert vertex_connectivity(g).kappa == kappa
-    assert sources and max(sources) < kappa
+    assert check_calls()
     for k in range(1, kappa + 2):
-        sources.clear()
         assert is_k_connected(g, k) == (k <= kappa)
-        assert all(s < k for s in sources)
+        check_calls()
+
+
+@pytest.mark.parametrize("first", [0, 12])
+def test_least_degree_vertex_in_every_minimum_cut(first):
+    # two K6 joined through two degree-4 connectors with disjoint
+    # neighbourhoods: the connectors are the only 2-cut, so v (a
+    # connector) is cut from no non-neighbour by fewer than 3 paths and
+    # only a pair of its own neighbours finds kappa = 2
+    c1, c2 = first, first + 1
+    rest = [u for u in range(14) if u not in (c1, c2)]
+    left, right = rest[:6], rest[6:]
+    g = from_edges(14, [*combinations(left, 2), *combinations(right, 2),
+                        *((c1, u) for u in left[:2] + right[:2]),
+                        *((c2, u) for u in left[2:4] + right[2:4])])
+    assert min(g.vertices(), key=g.degree) == c1
+    assert vertex_connectivity(g) == ConnectivityResult(2, 1 << c1 | 1 << c2)
+    assert connectivity(g) == 2
+    assert is_k_connected(g, 2)
+    assert not is_k_connected(g, 3)
+    assert min(local_connectivity(g, c1, t) for t in g.vertices()
+               if t != c1 and not g.has_edge(c1, t)) == 3
+
+
+def test_connectivity_matches_networkx():
+    rng = random.Random(14)
+    for _ in range(100):
+        n = rng.randrange(15, 41)
+        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5]))
+        ref = nx.Graph()
+        ref.add_nodes_from(g.vertices())
+        ref.add_edges_from((u, v) for u in g.vertices() for v in bits(g.rows[u])
+                           if u < v)
+        kappa = nx.node_connectivity(ref)
+        assert connectivity(g) == kappa, to_graph6(g)
+        assert kappa == 0 or is_k_connected(g, kappa)
+        assert not is_k_connected(g, kappa + 1)
 
 
 @pytest.mark.parametrize("kappa", [1, 2, 3, 4])
 def test_separator_on_the_lowest_labels(kappa):
-    # two cliques joined through the clique {0, ..., kappa - 1}: the
-    # first kappa source rows all lie inside the only minimum cut
+    # two cliques joined through the clique {0, ..., kappa - 1}, the only
+    # minimum cut; the lowest labels are the cut itself
     n = kappa + 3 + 4
     left = range(kappa, kappa + 3)
     g = from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
