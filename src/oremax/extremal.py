@@ -34,8 +34,8 @@ from math import comb
 from typing import Callable
 
 from .errors import CapacityError, ParameterError
-from .graphs import (MAX_ORDER, Graph, bits, canonical_form,
-                     check_canonical_order, from_graph6)
+from .graphs import (MAX_ORDER, Graph, canonical_form, check_canonical_order,
+                     from_graph6, layered_rows)
 from .metrics import DISCONNECTED, Disconnected, diameter, is_k_connected
 
 
@@ -182,20 +182,8 @@ def build_backbone(k: int, d: int) -> tuple[Graph, BlockMap]:
         blocks.append(((1 << k) - 1) << start)
         start += k
     blocks.append(1 << start)
-    # labels run block by block; a row is its block and the two beside it
-    padded = (0, *blocks, 0)
-    rows = [(before | block | after) ^ 1 << v
-            for before, block, after in zip(padded, padded[1:], padded[2:])
-            for v in bits(block)]
-    return Graph(order, tuple(rows)), BlockMap(tuple(blocks), (0, order - 1))
-
-
-def _window_blocks(spec: FamilyMemberSpec, blocks: tuple[int, ...],
-                   side: Side) -> int:
-    lo = spec.window_start - 1
-    if spec.window_len == 4 and side is Side.LAST_THREE:
-        lo += 1
-    return blocks[lo] | blocks[lo + 1] | blocks[lo + 2]
+    return (Graph(order, layered_rows(blocks)),
+            BlockMap(tuple(blocks), (0, order - 1)))
 
 
 def build_family_member(p: Parameters,
@@ -212,14 +200,11 @@ def build_family_member(p: Parameters,
         raise ParameterError(
             f"need one side per outside vertex ({p.outside_count})")
     base, bmap = build_backbone(p.k, p.d)
-    rows = list(base.rows)
-    clique = (1 << p.n) - (1 << base.order)
+    layers = list(bmap.blocks)
     for u, side in zip(range(base.order, p.n), spec.side_of):
-        target = _window_blocks(spec, bmap.blocks, side)
-        rows.append((clique ^ 1 << u) | target)
-        for v in bits(target):
-            rows[v] |= 1 << u
-    return Graph(p.n, tuple(rows)), bmap
+        # joined to three blocks and the clique, u twins the middle block
+        layers[spec.window_start + (side is Side.LAST_THREE)] |= 1 << u
+    return Graph(p.n, layered_rows(layers)), bmap
 
 
 def _candidate_specs(p: Parameters):
@@ -262,7 +247,8 @@ def is_extremal(g: Graph, k: int) -> bool:
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
-    return _extremal(g, k, diameter(g), lambda: is_k_connected(g, k))
+    return g.order > 0 and _extremal(g, k, diameter(g),
+                                     lambda: is_k_connected(g, k))
 
 
 def _extremal(g: Graph, k: int, dia: int | Disconnected,

@@ -29,7 +29,9 @@ set bits, :func:`reach` floods breadth-first over adjacency rows (every
 BFS layering, connectedness test and oracle screen goes through it),
 :func:`cut_vertices` finds the cut vertices of an induced subgraph by one
 depth-first search, :func:`subset_masks` builds vertex-subset masks in
-lexicographic order, :func:`lower_twins` is the one twin test, and
+lexicographic order, :func:`lower_twins` is the one twin test,
+:func:`layered_rows` writes the complete layered graph (each layer a
+clique joined to the layers on either side) from its layer masks, and
 :func:`_refine` splits an ordered partition into cells until it is
 equitable.  On that refinement :func:`_certificate` builds the oracle's
 private isomorphism certificate, which only dedups the climb's levels:
@@ -206,6 +208,18 @@ def lower_twins(rows: Sequence[int]) -> list[int]:
         apart[row] = apart.get(row, 0) | 1 << v
         joined[closed] = joined.get(closed, 0) | 1 << v
     return twins
+
+
+def layered_rows(layers: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the complete layered graph on ``layers``, vertex masks
+    that partition ``0..n-1``: each vertex is joined to the rest of its
+    own layer and to the layers on either side, and to nothing else."""
+    rows = [0] * sum(layer.bit_count() for layer in layers)
+    padded = (0, *layers, 0)
+    for before, layer, after in zip(padded, padded[1:], padded[2:]):
+        for v in bits(layer):
+            rows[v] = (before | layer | after) ^ 1 << v
+    return tuple(rows)
 
 
 def _mask_from(vertices: Iterable[int], order: int) -> int:

@@ -1,8 +1,10 @@
 """Distance and connectivity invariants.
 
 BFS layer profiles, diameter with a typed sentinel for disconnected
-graphs, and vertex connectivity by Menger's theorem: the maximum number
-of internally disjoint paths between a non-adjacent pair equals the
+graphs, ``layer_structure_check`` (is the graph the complete layered
+graph on its BFS layers, as :func:`oremax.graphs.layered_rows` writes
+it), and vertex connectivity by Menger's theorem: the maximum number of
+internally disjoint paths between a non-adjacent pair equals the
 minimum separator size.  Each pair is a unit-capacity max flow on the
 vertex-split digraph, found by augmenting paths that step along the
 adjacency bitmask rows.  ``connectivity`` and ``is_k_connected`` share
@@ -12,14 +14,13 @@ starts from the minimum degree delta, takes a vertex v of that degree,
 and tries v against each non-neighbour and then each non-adjacent pair
 of v's neighbours, at most (n - 1 - delta) + C(delta, 2) flows, each
 capped at the best value so far; ``is_k_connected`` stops at the first
-value below k.
-``vertex_connectivity`` adds the lexicographically least minimum
-cut, chosen greedily one vertex at a time: each candidate costs one
-connectivity test of G minus the chosen vertices and it, and the least
-candidate at each position goes in, so at most n tests in all.  The
-last two positions are settled by cut vertices.  Every other traversal
-over adjacency rows is a call to :func:`oremax.graphs.reach` or
-:func:`oremax.graphs.cut_vertices`.
+value below k.  ``vertex_connectivity`` adds the lexicographically
+least minimum cut, chosen greedily one vertex at a time: each candidate
+costs one connectivity test of G minus the chosen vertices and it, and
+the least candidate at each position goes in, so at most n tests in
+all.  The last two positions are settled by cut vertices.  Every other
+traversal over adjacency rows is a call to :func:`oremax.graphs.reach`
+or :func:`oremax.graphs.cut_vertices`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParameterError
-from .graphs import (Graph, bits, cut_vertices, induced_subgraph, is_clique,
-                     reach)
+from .graphs import (Graph, bits, cut_vertices, induced_subgraph,
+                     layered_rows, reach)
 
 
 class Disconnected:
@@ -262,9 +263,10 @@ def layer_structure_check(g: Graph, x: int, y: int, k: int) -> bool:
     """Structural test along a diameter-realizing pair.
 
     With d the diameter and x, y at distance d, checks that every
-    intermediate layer from x has at least k vertices and that each
-    union of consecutive layers N_i(x) | N_{i+1}(x), i = 1..d-1, is a
-    clique.  Maximum-size graphs satisfy this; it prunes impostors.
+    intermediate layer N_i(x), i = 1..d-1, has at least k vertices and
+    that g is the complete layered graph on its BFS layers from x: each
+    layer a clique joined to the layers on either side.  Maximum-size
+    graphs satisfy this; it prunes impostors.
     """
     g._check_vertex(x)
     g._check_vertex(y)
@@ -276,9 +278,5 @@ def layer_structure_check(g: Graph, x: int, y: int, k: int) -> bool:
     profile = bfs_layers(g, x)
     if profile.layer_of(y) != dia:
         raise ParameterError("x and y must be at distance exactly the diameter")
-    for i in range(1, dia):
-        if profile.layers[i].bit_count() < k:
-            return False
-        if not is_clique(g, bits(profile.layers[i] | profile.layers[i + 1])):
-            return False
-    return True
+    return (all(layer.bit_count() >= k for layer in profile.layers[1:-1])
+            and g.rows == layered_rows(profile.layers))

@@ -1,6 +1,7 @@
 """Slow reference implementations used only by the tests.
 
-Deliberately dumb: all-pairs relaxation for distances, subset
+Deliberately dumb: all-pairs relaxation for distances and the layer
+structure, an edge list for the complete layered graph, subset
 enumeration for cuts, full permutation scans for canonical codes, the
 individualisation-refinement tree with no pruning for the certificate,
 and the labelled scan over every complement of each size for the
@@ -39,6 +40,26 @@ def fw_distances(g: Graph) -> list[list[float]]:
 def fw_diameter(g: Graph):
     worst = max(max(row) for row in fw_distances(g))
     return DISCONNECTED if worst == INF else int(worst)
+
+
+def ref_layered_graph(layers: list[list[int]]) -> Graph:
+    """Each layer (a list of vertices) a clique, joined to the next one."""
+    edges = [e for layer in layers for e in combinations(layer, 2)]
+    edges += [(u, v) for here, there in zip(layers, layers[1:])
+              for u in here for v in there]
+    return from_edges(sum(map(len, layers)), edges)
+
+
+def ref_layer_structure(g: Graph, x: int, y: int, k: int) -> bool:
+    """True iff every distance class from x strictly between x and y has
+    at least k vertices, and two vertices are adjacent exactly when
+    their distances from x differ by at most one."""
+    dist = fw_distances(g)[x]
+    between = range(1, int(dist[y]))
+    if any(sum(1 for r in dist if r == i) < k for i in between):
+        return False
+    return all(bool(g.rows[u] >> v & 1) == (abs(dist[u] - dist[v]) <= 1)
+               for u in range(g.order) for v in range(g.order) if u != v)
 
 
 def _connected_on(g: Graph, keep: int) -> bool:

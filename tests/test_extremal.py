@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +9,9 @@ from oremax import (DISCONNECTED, CapacityError, FamilyMemberSpec,
                     FormulaMode, Graph, ParameterError, Parameters, Side,
                     attachment_cap, backbone_order, backbone_size,
                     bfs_layers, bits, build_backbone, build_family_member,
-                    canonical_form, diameter, enumerate_family, from_edges,
-                    from_graph6, is_clique, is_extremal, is_isomorphic,
-                    is_k_connected, max_size_formula, to_graph6,
+                    canonical_form, diameter, empty_graph, enumerate_family,
+                    from_edges, from_graph6, is_clique, is_extremal,
+                    is_isomorphic, is_k_connected, max_size_formula, to_graph6,
                     vertex_connectivity)
 
 FIRST = Side.FIRST_THREE
@@ -278,6 +279,29 @@ def test_enumerate_family_members_are_valid():
             assert is_k_connected(g, k)
 
 
+def test_family_matches_the_committed_table():
+    # tests/data/family10.tsv: the members of every valid instance with
+    # n <= 10, one row each, in enumerate_family's order
+    from oremax.extremal import _candidate_specs
+    lines = (Path(__file__).parent / "data" / "family10.tsv").read_text() \
+        .splitlines()
+    assert lines[0] == "n\tk\td\tgraph6"
+    table = {}
+    for line in lines[1:]:
+        n, k, d, text = line.split("\t")
+        table.setdefault((int(n), int(k), int(d)), []).append(text)
+    assert (len(table), len(lines) - 1) == (77, 142)
+    assert list(table) == [(n, k, d) for n in range(11) for k in range(1, n)
+                           for d in range(2, n) if backbone_order(k, d) <= n]
+    for (n, k, d), members in table.items():
+        p = Parameters(n, k, d)
+        assert [to_graph6(g) for g in enumerate_family(p)] == members
+        # the raw constructions of formula size are the family already
+        built = (build_family_member(p, spec)[0]
+                 for spec in _candidate_specs(p))
+        assert {canonical_form(g).g6 for g in built
+                if g.size == max_size_formula(p)} == set(members), (n, k, d)
+
 def test_enumerate_family_guard():
     with pytest.raises(CapacityError):
         enumerate_family(Parameters(11, 1, 10))
@@ -357,6 +381,14 @@ def test_is_extremal_has_no_order_guard_and_validates_k():
     assert not is_extremal(path(11), 2)
     with pytest.raises(ParameterError):
         is_extremal(path(4), 0)
+
+
+def test_is_extremal_is_false_on_the_order_0_graph():
+    # below every backbone, like is_k_connected; diameter would raise
+    assert not is_extremal(empty_graph(0), 1)
+    assert not is_k_connected(empty_graph(0), 1)
+    with pytest.raises(ParameterError):
+        is_extremal(empty_graph(0), 0)
 
 
 def test_family_members_are_extremal():

@@ -6,15 +6,16 @@ import networkx as nx
 import pytest
 
 from bruteforce import (_connected_on, fw_distances, random_graph,
-                        ref_canonical_code, ref_certificate)
+                        ref_canonical_code, ref_certificate,
+                        ref_layered_graph)
 from oremax import (CANONICAL_MAX_ORDER, MAX_ORDER, CapacityError, Graph,
                     Graph6ParseError, ParameterError, add_edge, bit_code,
                     bits, build_backbone, canonical_form, empty_graph,
                     from_bit_code, from_edges, from_graph6, induced_subgraph,
                     is_clique, is_isomorphic, relabel, relabeling_codes,
                     to_dot, to_edge_list, to_graph6)
-from oremax.graphs import (_certificate, _refine, cut_vertices, lower_twins,
-                           reach, subset_masks)
+from oremax.graphs import (_certificate, _refine, cut_vertices, layered_rows,
+                           lower_twins, reach, subset_masks)
 
 
 def k_n(n):
@@ -235,6 +236,28 @@ def test_lower_twins_match_definition():
     for n in range(8):
         assert lower_twins(k_n(n).rows) == [(1 << v) - 1 for v in range(n)]
 
+
+def test_layered_rows_match_an_edge_list():
+    # seeded size vectors; shuffled labels give non-contiguous layers,
+    # the kind build_family_member passes when it adds outside vertices
+    rng = random.Random(67)
+    scattered = 0
+    for trial in range(300):
+        sizes = [rng.randrange(1, 5) for _ in range(rng.randrange(1, 12))]
+        labels = list(range(sum(sizes)))
+        if trial % 2:
+            rng.shuffle(labels)
+        cuts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+        layers = [labels[a:b] for a, b in zip(cuts, cuts[1:])]
+        masks = [sum(1 << v for v in layer) for layer in layers]
+        scattered += any(max(layer) - min(layer) >= len(layer)
+                         for layer in layers)
+        assert layered_rows(masks) == ref_layered_graph(layers).rows, layers
+    assert scattered > 100
+    assert layered_rows([]) == ()
+    # K1 v K2 v K1, the backbone for k = 2, d = 2
+    assert layered_rows([0b1, 0b110, 0b1000]) == \
+        (0b110, 0b1101, 0b1011, 0b110)
 
 # --- canonical forms --------------------------------------------------------
 

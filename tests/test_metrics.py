@@ -1,14 +1,15 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import networkx as nx
 import pytest
 
 from bruteforce import (_connected_on, brute_lex_min_cut, brute_min_separator,
-                        brute_vertex_connectivity, fw_diameter, random_graph)
+                        brute_vertex_connectivity, fw_diameter, fw_distances,
+                        random_graph, ref_layer_structure, ref_layered_graph)
 from oremax import (DISCONNECTED, ConnectivityResult, FamilyMemberSpec,
-                    ParameterError, Parameters, Side, bfs_layers, bits,
+                    Graph, ParameterError, Parameters, Side, bfs_layers, bits,
                     build_backbone, build_family_member, connectivity,
                     diameter, empty_graph, from_edges, is_connected,
                     is_k_connected, layer_structure_check,
@@ -454,3 +455,40 @@ def test_layer_structure_preconditions():
         layer_structure_check(empty_graph(2), 0, 1, 1)
     with pytest.raises(ParameterError):
         layer_structure_check(path(5), 0, 4, 0)
+
+
+def test_layer_structure_matches_the_reference():
+    # seeded random graphs and complete layered graphs with at most one
+    # pair flipped, judged at every diametral pair for k = 1..3
+    rng = random.Random(71)
+    graphs = [random_graph(rng, rng.randrange(1, 11),
+                           rng.choice([0.3, 0.6, 0.9, rng.random()]))
+              for _ in range(300)]
+    for _ in range(400):
+        sizes = [1] + [rng.randrange(1, 4) for _ in range(rng.randrange(1, 6))]
+        if sum(sizes) > 10:
+            continue
+        labels = rng.sample(range(sum(sizes)), sum(sizes))
+        cuts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+        g = ref_layered_graph([labels[a:b] for a, b in zip(cuts, cuts[1:])])
+        if rng.random() < 0.7:
+            u, v = rng.sample(range(g.order), 2)
+            rows = list(g.rows)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            g = Graph(g.order, tuple(rows))
+        graphs.append(g)
+    verdicts = {True: 0, False: 0}
+    for g in graphs:
+        dia = fw_diameter(g)
+        if dia is DISCONNECTED:
+            continue
+        dist = fw_distances(g)
+        for x, y in product(range(g.order), repeat=2):
+            if dist[x][y] == dia:
+                for k in (1, 2, 3):
+                    want = ref_layer_structure(g, x, y, k)
+                    assert layer_structure_check(g, x, y, k) == want, \
+                        (to_graph6(g), x, y, k)
+                    verdicts[want] += 1
+    assert min(verdicts.values()) > 1000, verdicts
