@@ -6,8 +6,9 @@ class CapacityError(Exception):
 
 
 class BudgetError(CapacityError):
-    """An exhaustive search would pass its budget of edge deletions tried
-    on alive classes."""
+    """An exhaustive search would pass its budget of edge moves tried:
+    deletions on a climb down from K_n, additions on a climb up from the
+    trees."""
 
 
 class ParameterError(ValueError):

@@ -419,7 +419,10 @@ def _certificate(rows: Sequence[int]) -> int:
     :func:`_refine`, each vertex of the first cell with more than one
     vertex is made a cell of its own, and the search recurses.  A vertex
     with a lower twin in that cell is skipped, since swapping the two is
-    an automorphism that fixes the partition.  The result is the least
+    an automorphism that fixes the partition.  A cell of twins alone
+    thus has one branch, and splitting it leaves the partition
+    equitable, so it is read as its vertices in label order with no
+    recursion and no further refinement.  The result is the least
     bit code (as :func:`bit_code` writes it) over the leaves, the
     discrete partitions read as vertex orders.  It is one relabelling's
     code, not always the least, so it is never printed.
@@ -429,11 +432,13 @@ def _certificate(rows: Sequence[int]) -> int:
     def least(cells: list[int]) -> int:
         cells = _refine(rows, cells)
         for i, cell in enumerate(cells):
-            if cell & cell - 1:
+            if not cell & cell - 1:
+                continue
+            heads = [v for v in bits(cell) if not earlier[v] & cell]
+            if len(heads) > 1:
                 return min(least([*cells[:i], 1 << v, cell ^ 1 << v,
-                                  *cells[i + 1:]])
-                           for v in bits(cell) if not earlier[v] & cell)
-        order = [cell.bit_length() - 1 for cell in cells]
+                                  *cells[i + 1:]]) for v in heads)
+        order = [v for cell in cells for v in bits(cell)]
         code = 0
         for j, w in enumerate(order):
             for x in order[:j]:

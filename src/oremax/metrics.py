@@ -166,7 +166,10 @@ def local_connectivity(g: Graph, s: int, t: int, *,
             if step >> t & 1:
                 break
             seen_in |= step
-            for v in bits(step):
+            while step:
+                low = step & -step
+                v = low.bit_length() - 1
+                step ^= low
                 if pred[v] not in via:
                     via[pred[v]] = (u, v)
                     queue.append(pred[v])

@@ -4,23 +4,37 @@ Independently recomputes the maximum size over all simple graphs with a
 given order, exact diameter, and connectivity level, then compares the
 answer against the closed-form modes and the generated family.
 
-The search climbs down from the complete graph one edge at a time and
-keeps, at each level, one graph per isomorphism class of the *alive*
-graphs: those with connectivity >= k and diameter <= d.  Both
-conditions survive adding an edge, so every graph between K_n and a
-maximizer is alive, and deleting each edge of every alive class reaches
-every alive class of the next level.  The first level that holds an
-alive class of diameter exactly d therefore gives the maximum, and its
-exact-d classes are the maximizers.  Swapping twins is an automorphism,
-so one edge per pair of twin classes is deleted.  Each level is deduped
-by the partition-refinement certificate ``graphs._certificate``, and
-only the maximizers, one per class, get a canonical form.
+The search walks the levels of a closed set of graphs one edge at a
+time and keeps, at each level, one graph per isomorphism class.  It
+runs in one of two directions:
 
-The tests referee the climb with a labelled scan of their own, over
-every complement of each size, that shares none of its code.
+* down, for d <= 3: from the complete graph, deleting edges, through
+  the *alive* graphs: those with connectivity >= k and diameter <= d.
+  Both conditions survive adding an edge, so every graph between K_n
+  and a maximizer is alive, and deleting each edge of every alive class
+  reaches every alive class of the next level.  The first level that
+  holds an alive class of diameter exactly d gives the maximum.
+* up, for d >= 4: from the trees of diameter >= d, adding edges,
+  through the graphs of diameter >= d.  Every such graph has a spanning
+  tree of diameter at least its own, and every graph between the two
+  keeps diameter >= d, so adding each non-edge of every class reaches
+  every class of the next level.  The highest level that holds a class
+  of diameter exactly d and connectivity >= k gives the maximum.
 
-Everything is guarded: order 8, and a budget on edge deletions that
-aborts loudly before a level instead of truncating silently.
+Sparse instances are cheap up and dense ones down.  Either way the
+maximizers are the winning classes of the answer level.  Swapping twins
+is an automorphism, and twins of a graph are twins of its complement,
+so one edge per pair of twin classes is deleted or added.  Each level
+is deduped by the partition-refinement certificate
+``graphs._certificate``, and only the maximizers, one per class, get a
+canonical form.
+
+The tests referee both directions with a labelled scan of their own,
+over every complement of each size, that shares none of its code.
+
+Everything is guarded: order 8, and a budget on edge moves (deletions
+or additions) that aborts loudly before a level instead of truncating
+silently.
 """
 
 from __future__ import annotations
@@ -32,8 +46,8 @@ from .errors import BudgetError, CapacityError
 from .extremal import (FormulaMode, Parameters, backbone_order,
                        enumerate_family, max_size_formula)
 from .graphs import (Graph, _certificate, bit_code, bits, canonical_form,
-                     from_graph6, lower_twins, reach, relabeling_codes,
-                     subset_masks, to_graph6)
+                     from_graph6, layered_rows, lower_twins, reach,
+                     relabeling_codes, subset_masks, to_graph6)
 from .metrics import diameter, induced_disconnected, is_k_connected
 
 DEFAULT_ORDER_GUARD = 8
@@ -104,7 +118,8 @@ def _deletions(rows: tuple[int, ...]) -> list[tuple[int, int]]:
     two is an automorphism: every edge between two classes, or inside
     one, is deleted to the same child up to isomorphism.  The edge kept
     joins the least vertices of the two classes, or the two least of
-    one class.
+    one class.  Twins of a graph are twins of its complement, so on the
+    complement's rows this gives one addition per pair of twin classes.
     """
     earlier = lower_twins(rows)
     return [(u, v) for v in range(len(rows))
@@ -112,39 +127,79 @@ def _deletions(rows: tuple[int, ...]) -> list[tuple[int, int]]:
             if not earlier[u] and earlier[v] in (0, 1 << u)]
 
 
-def _climb(n: int, k: int, d: int,
+def _trees(n: int, d: int) -> list[tuple[int, ...]]:
+    """One labelled tree per isomorphism class of order n and diameter
+    >= d, for 1 <= d < n.  Each holds a path on d + 1 vertices and is
+    grown from it leaf by leaf: vertex m joins one vertex of each twin
+    class of every tree of order m."""
+    # the path: a complete layered graph with one vertex per layer
+    trees = [layered_rows([1 << v for v in range(d + 1)])]
+    for m in range(d + 1, n):
+        grown = {}
+        for rows in trees:
+            earlier = lower_twins(rows)
+            for u in range(m):
+                if not earlier[u]:
+                    child = [*rows, 1 << u]
+                    child[u] |= 1 << m
+                    grown[_certificate(child)] = tuple(child)
+        trees = list(grown.values())
+    return trees
+
+
+def _climb(n: int, k: int, d: int, up: bool,
            budget: int) -> tuple[int | None, list[str]]:
-    """Descend from K_n through the alive classes, one edge per level.
+    """Walk the levels of one closure, one edge per level.
 
     Returns the maximum size and the sorted canonical graph6 strings of
-    the maximizers, or (None, []) once no alive class is left.
-    ``budget`` caps the edge deletions tried; a level that would pass
-    it raises BudgetError before any of its deletions.
+    the maximizers, or (None, []) if no graph qualifies.  ``budget``
+    caps the edge moves tried; a level that would pass it raises
+    BudgetError before any of its moves.
     """
     full = (1 << n) - 1
     cut_masks = _cut_masks(n, k)
-    top = tuple(full ^ 1 << v for v in range(n))
-    # labelled graph -> _alive verdict; K_n is alive iff n - 1 >= k
-    verdicts = {top: _alive(top, d, full, cut_masks)} if n > k else {}
-    removed = used = 0
+    if up:
+        def verdict(rows):
+            # far: some vertex misses a vertex within d - 1 steps
+            if all(reach(rows, 1 << v, depth=d - 1)[0] == full
+                   for v in range(n)):
+                return None
+            return _alive(rows, d, full, cut_masks) is True
+        start = _trees(n, d) if d < n else []
+        size, step = n - 1, 1
+    else:
+        def verdict(rows):
+            return _alive(rows, d, full, cut_masks)
+        # K_n is alive iff n - 1 >= k
+        start = [tuple(full ^ 1 << v for v in range(n))] if n > k else []
+        size, step = n * (n - 1) // 2, -1
+    # labelled graph -> None (screened out) or whether it is a winner
+    verdicts = {rows: verdict(rows) for rows in start}
+    max_size, winners = None, []
+    moved = used = 0
     while True:
-        # classes are told apart by certificate; only the exact-d
-        # winners, one per class, pay for a printed canonical form
-        winners = {_certificate(rows): rows
-                   for rows, hit in verdicts.items() if hit}
-        if winners:
-            return n * (n - 1) // 2 - removed, sorted(
-                canonical_form(Graph(n, rows)).g6 for rows in winners.values())
-        level = {_certificate(rows): rows
-                 for rows, hit in verdicts.items() if hit is False}
+        # classes are told apart by certificate; only the winners of
+        # the answer level, one per class, pay for a canonical form
+        found = {_certificate(rows): rows
+                 for rows, hit in verdicts.items() if hit}
+        if found:
+            max_size, winners = size, [*found.values()]
+            if not up:
+                break
+        rest = {_certificate(rows): rows
+                for rows, hit in verdicts.items() if hit is False}
+        level = [*found.values(), *rest.values()]
         if not level:
-            return None, []
-        moves = [(rows, _deletions(rows)) for rows in level.values()]
-        removed += 1
+            break
+        moves = [(rows, _deletions(tuple(full ^ row ^ 1 << v for v, row
+                                         in enumerate(rows)) if up else rows))
+                 for rows in level]
+        moved += 1
+        size += step
         used += sum(len(edges) for _, edges in moves)
         if used > budget:
-            raise BudgetError(f"level {removed} would push the climb past "
-                              f"{budget} edge deletions")
+            raise BudgetError(f"level {moved} would push the climb past "
+                              f"{budget} edge moves")
         verdicts = {}
         for rows, edges in moves:
             for u, v in edges:
@@ -153,20 +208,23 @@ def _climb(n: int, k: int, d: int,
                 child[v] ^= 1 << u
                 child = tuple(child)
                 if child not in verdicts:
-                    verdicts[child] = _alive(child, d, full, cut_masks)
+                    verdicts[child] = verdict(child)
+    return max_size, sorted(canonical_form(Graph(n, rows)).g6
+                            for rows in winners)
 
 
 def max_size_bruteforce(p: Parameters, *,
                         budget: int = DEFAULT_BUDGET) -> OracleReport:
     """Exact maximum size and all maximizers up to isomorphism.
 
-    ``budget`` caps the edge deletions tried on alive classes.
+    Climbs up from the trees when d >= 4 and down from K_n otherwise.
+    ``budget`` caps the edge moves tried.
     """
     if p.n > DEFAULT_ORDER_GUARD:
         raise CapacityError(
             f"order {p.n} exceeds search guard {DEFAULT_ORDER_GUARD}")
     start = time.perf_counter()
-    max_size, extremal = _climb(p.n, p.k, p.d, budget)
+    max_size, extremal = _climb(p.n, p.k, p.d, p.d >= 4, budget)
     for text in extremal:
         g = from_graph6(text)
         # canonical: the least code of its orbit

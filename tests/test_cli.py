@@ -225,6 +225,17 @@ def test_sweep_n_max_7_matches_the_committed_table(capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_sweep_n_max_8_matches_the_committed_table(capsys):
+    # written by the down-climb alone; sweep now climbs up when d >= 4
+    golden = (Path(__file__).parent / "data" / "sweep8.tsv").read_text()
+    rows = [line.split("\t") for line in golden.splitlines()]
+    assert len(rows) == 42
+    assert all(row[4] == row[6] == "true" for row in rows[1:])
+    assert sum(row[2] >= "4" for row in rows[1:]) == 11
+    assert run(["sweep", "--n-max", "8"]) == 0
+    assert capsys.readouterr().out == golden
+
+
 def test_check_rows_an_order_11_path_with_no_flow(capsys, monkeypatch):
     def no_flows(*args, **kwargs):
         raise AssertionError("a flow ran")

@@ -8,6 +8,7 @@ import pytest
 from bruteforce import (_connected_on, fw_distances, random_graph,
                         ref_canonical_code, ref_certificate,
                         ref_layered_graph)
+from oremax import graphs
 from oremax import (CANONICAL_MAX_ORDER, MAX_ORDER, CapacityError, Graph,
                     Graph6ParseError, ParameterError, add_edge, bit_code,
                     bits, build_backbone, canonical_form, empty_graph,
@@ -407,6 +408,22 @@ def test_certificate_against_reference():
     assert len({c for c, _ in pairs}) == len({r for _, r in pairs}) == len(pairs)
     for g in cycle_unions():
         assert _certificate(g.rows) == ref_certificate(g), to_graph6(g)
+
+
+def test_certificate_reads_twin_cells_without_branching(monkeypatch):
+    # K8 minus an edge refines to two cells of twins, {0, 1} and the
+    # rest: each is read in label order with no individualisation
+    calls = 0
+
+    def counting_refine(rows, cells):
+        nonlocal calls
+        calls += 1
+        return _refine(rows, cells)
+
+    monkeypatch.setattr(graphs, "_refine", counting_refine)
+    g = from_edges(8, [e for e in combinations(range(8), 2) if e != (0, 1)])
+    assert _certificate(g.rows) == ref_certificate(g)
+    assert calls == 1
 
 
 def test_bit_code_round_trip():

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 from math import comb
 
+import networkx as nx
 import pytest
 
 from bruteforce import (brute_vertex_connectivity, candidate_ok, cells,
@@ -16,7 +17,7 @@ from oremax import (DISCONNECTED, BudgetError, CapacityError, Parameters,
 from oremax import oracle
 from oremax.graphs import Graph, _certificate, bit_code, from_edges
 from oremax.oracle import (DEFAULT_BUDGET, _alive, _climb, _cut_masks,
-                           _deletions)
+                           _deletions, _trees)
 
 #: every (n, k, d) that ``sweep(7)`` verifies
 SWEEP_7 = [(n, k, d) for n in range(3, 8) for k in range(1, 8)
@@ -74,6 +75,22 @@ def test_twin_deletions_reach_every_child_class():
             child(u, v) for u, v in edges}, to_graph6(g)
 
 
+def test_trees_one_per_class():
+    # against networkx's trees, sorted by diameter
+    for n in range(2, 9):
+        diameters = [nx.diameter(t) for t in nx.nonisomorphic_trees(n)]
+        for d in range(1, n):
+            trees = _trees(n, d)
+            assert len(trees) == sum(dia >= d for dia in diameters), (n, d)
+            assert len({canonical_form(Graph(n, rows))
+                        for rows in trees}) == len(trees)
+            for rows in trees:
+                g = Graph(n, rows)
+                dia = diameter(g)
+                assert g.size == n - 1 and dia is not DISCONNECTED
+                assert dia >= d
+
+
 def test_bruteforce_smallest_instances():
     r = max_size_bruteforce(Parameters(4, 1, 2))
     assert r.max_size == 5
@@ -119,6 +136,32 @@ def test_budget_counts_edge_deletions():
         max_size_bruteforce(Parameters(6, 2, 3), budget=81)
 
 
+def test_budget_counts_edge_additions_on_an_up_climb():
+    # (7,1,5) climbs up from its 3 trees of diameter >= 5 and tries 121
+    # edge additions over levels 1..3; level 3 holds no class
+    r = max_size_bruteforce(Parameters(7, 1, 5), budget=121)
+    assert (r.max_size, len(r.extremal)) == (8, 2)
+    with pytest.raises(BudgetError, match="level 3 "):
+        max_size_bruteforce(Parameters(7, 1, 5), budget=120)
+    with pytest.raises(BudgetError, match="level 1 .* 10 edge moves"):
+        max_size_bruteforce(Parameters(7, 1, 5), budget=10)
+
+
+def test_climb_direction_is_up_iff_d_at_least_4(monkeypatch):
+    seen = []
+
+    def recording_climb(n, k, d, up, budget):
+        seen.append((d, up))
+        return _climb(n, k, d, up, budget)
+
+    monkeypatch.setattr(oracle, "_climb", recording_climb)
+    for n, k, d in [(5, 1, 3), (5, 1, 4), (6, 2, 3), (6, 1, 4), (7, 1, 6),
+                    (6, 1, 5), (7, 2, 3), (4, 2, 2)]:
+        max_size_bruteforce(Parameters(n, k, d))
+    assert seen == [(d, d >= 4) for d, _ in seen]
+    assert {up for _, up in seen} == {False, True}
+
+
 def test_infeasible_search_path():
     # no graph on 3 vertices has diameter 3; unreachable through
     # Parameters, so exercised on the labelled referee
@@ -126,7 +169,8 @@ def test_infeasible_search_path():
 
 
 def test_infeasible_climb():
-    assert _climb(3, 1, 3, budget=10**6) == (None, [])
+    for up in (False, True):
+        assert _climb(3, 1, 3, up, budget=10**6) == (None, [])
 
 
 def test_climb_matches_labelled_scan():
@@ -134,12 +178,13 @@ def test_climb_matches_labelled_scan():
     assert len(SWEEP_7) == 27
     for n, k, d in SWEEP_7:
         max_size, codes = labelled_search(n, k, d)
-        assert _climb(n, k, d, budget=10**9) == (
-            max_size, dedup_canonical(n, codes)), (n, k, d)
+        want = max_size, dedup_canonical(n, codes)
+        for up in (False, True):
+            assert _climb(n, k, d, up, budget=10**9) == want, (n, k, d, up)
 
 
 def test_certificate_splits_climbed_graphs_like_canonical_form(monkeypatch):
-    # every alive labelled graph the SWEEP_7 climbs visit, per order
+    # every alive labelled graph the SWEEP_7 climbs visit, down and up
     visited = set()
 
     def recording_alive(rows, *args):
@@ -150,7 +195,8 @@ def test_certificate_splits_climbed_graphs_like_canonical_form(monkeypatch):
 
     monkeypatch.setattr(oracle, "_alive", recording_alive)
     for n, k, d in SWEEP_7:
-        _climb(n, k, d, budget=10**9)
+        for up in (False, True):
+            _climb(n, k, d, up, budget=10**9)
     pairs = {((len(rows), _certificate(rows)),
               canonical_form(Graph(len(rows), rows))) for rows in visited}
     assert len({c for c, _ in pairs}) == len({f for _, f in pairs}) == len(pairs)
@@ -159,7 +205,7 @@ def test_certificate_splits_climbed_graphs_like_canonical_form(monkeypatch):
 
 def test_climb_canonicalises_only_the_winners(monkeypatch):
     # the level dedup runs on certificates: canonical forms are made
-    # for the exact-d graphs of the last level at most
+    # for the exact-d graphs of the answer level at most
     calls = exact = 0
 
     def counting_form(g):
@@ -175,9 +221,11 @@ def test_climb_canonicalises_only_the_winners(monkeypatch):
 
     monkeypatch.setattr(oracle, "canonical_form", counting_form)
     monkeypatch.setattr(oracle, "_alive", counting_alive)
-    max_size, extremal = _climb(7, 1, 5, DEFAULT_BUDGET)
-    assert (max_size, len(extremal)) == (8, 2)
-    assert calls <= exact < 100
+    for up in (False, True):
+        calls = exact = 0
+        max_size, extremal = _climb(7, 1, 5, up, DEFAULT_BUDGET)
+        assert (max_size, len(extremal)) == (8, 2)
+        assert calls == len(extremal) <= exact < 100
 
 
 def full_enumeration():
@@ -202,10 +250,11 @@ def full_enumeration():
 
 def test_climb_matches_full_enumeration():
     for n, k, d, maximizers in full_enumeration():
-        max_size, extremal = _climb(n, k, d, budget=10**9)
-        assert max_size == maximizers[0].size, (n, k, d)
-        assert {bit_code(from_graph6(t)) for t in extremal} == {
-            ref_canonical_code(g) for g in maximizers}
+        for up in (False, True):
+            max_size, extremal = _climb(n, k, d, up, budget=10**9)
+            assert max_size == maximizers[0].size, (n, k, d, up)
+            assert {bit_code(from_graph6(t)) for t in extremal} == {
+                ref_canonical_code(g) for g in maximizers}
 
 
 def test_labelled_scan_matches_full_enumeration():
