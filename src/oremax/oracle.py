@@ -31,6 +31,10 @@ canonical form.
 
 The tests referee both directions with a labelled scan of their own,
 over every complement of each size, that shares none of its code.
+Every maximizer is checked again before it is reported: size, diameter
+and connectivity by ``metrics``, and canonicity by a search over vertex
+orders that stops at the first prefix below the maximizer's own code
+(``graphs._is_least_code``), so no orbit is listed.
 
 Everything is guarded: order 8, and a budget on edge moves (deletions
 or additions) that aborts loudly before a level instead of truncating
@@ -45,9 +49,9 @@ from dataclasses import dataclass, replace
 from .errors import BudgetError, CapacityError
 from .extremal import (FormulaMode, Parameters, backbone_order,
                        enumerate_family, max_size_formula)
-from .graphs import (Graph, _certificate, bit_code, bits, canonical_form,
-                     from_graph6, layered_rows, lower_twins, reach,
-                     relabeling_codes, subset_masks, to_graph6)
+from .graphs import (Graph, _certificate, _is_least_code, bits,
+                     canonical_form, from_graph6, layered_rows, lower_twins,
+                     reach, subset_masks, to_graph6)
 from .metrics import diameter, induced_disconnected, is_k_connected
 
 DEFAULT_ORDER_GUARD = 8
@@ -91,13 +95,21 @@ def _cut_masks(n: int, k: int) -> list[int]:
     return [mask for size in range(1, k) for mask in subset_masks(n, size)]
 
 
+def _k_connected(rows: tuple[int, ...], full: int,
+                 cut_masks: list[int]) -> bool:
+    """No mask of ``cut_masks`` disconnects the graph: for a graph that
+    is not complete, connectivity >= k with ``_cut_masks(n, k)``."""
+    return not any(induced_disconnected(rows, full & ~cut)
+                   for cut in cut_masks)
+
+
 def _alive(rows: tuple[int, ...], d: int, full: int,
            cut_masks: list[int]) -> bool | None:
     """None unless the graph is alive; else whether its diameter is d.
 
-    Alive means diameter <= d (one depth-d flood per vertex) and, for a
-    graph that is not complete, connectivity >= k: no mask of
-    ``_cut_masks(n, k)`` disconnects it.
+    Alive means diameter <= d (one depth-d flood per vertex) and
+    ``_k_connected``.  With no cut masks this is the flood alone: None
+    for diameter > d, True for d, False for less.
     """
     exact = False
     for v in range(len(rows)):
@@ -105,10 +117,18 @@ def _alive(rows: tuple[int, ...], d: int, full: int,
         if reached != full:
             return None
         exact = exact or bool(at_d)
-    for cut in cut_masks:
-        if induced_disconnected(rows, full & ~cut):
-            return None
-    return exact
+    return exact if _k_connected(rows, full, cut_masks) else None
+
+
+def _far(rows: tuple[int, ...], d: int, full: int,
+         cut_masks: list[int]) -> bool | None:
+    """The up climb's screen: None unless the diameter is at least d;
+    else whether it is exactly d and the graph is ``_k_connected``.
+    Its one depth-d flood per vertex is ``_alive`` with no cut masks."""
+    exact = _alive(rows, d, full, [])
+    if exact is False:
+        return None
+    return exact is True and _k_connected(rows, full, cut_masks)
 
 
 def _deletions(rows: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -158,23 +178,16 @@ def _climb(n: int, k: int, d: int, up: bool,
     """
     full = (1 << n) - 1
     cut_masks = _cut_masks(n, k)
+    screen = _far if up else _alive
     if up:
-        def verdict(rows):
-            # far: some vertex misses a vertex within d - 1 steps
-            if all(reach(rows, 1 << v, depth=d - 1)[0] == full
-                   for v in range(n)):
-                return None
-            return _alive(rows, d, full, cut_masks) is True
         start = _trees(n, d) if d < n else []
         size, step = n - 1, 1
     else:
-        def verdict(rows):
-            return _alive(rows, d, full, cut_masks)
         # K_n is alive iff n - 1 >= k
         start = [tuple(full ^ 1 << v for v in range(n))] if n > k else []
         size, step = n * (n - 1) // 2, -1
     # labelled graph -> None (screened out) or whether it is a winner
-    verdicts = {rows: verdict(rows) for rows in start}
+    verdicts = {rows: screen(rows, d, full, cut_masks) for rows in start}
     max_size, winners = None, []
     moved = used = 0
     while True:
@@ -208,7 +221,7 @@ def _climb(n: int, k: int, d: int, up: bool,
                 child[v] ^= 1 << u
                 child = tuple(child)
                 if child not in verdicts:
-                    verdicts[child] = verdict(child)
+                    verdicts[child] = screen(child, d, full, cut_masks)
     return max_size, sorted(canonical_form(Graph(n, rows)).g6
                             for rows in winners)
 
@@ -218,7 +231,11 @@ def max_size_bruteforce(p: Parameters, *,
     """Exact maximum size and all maximizers up to isomorphism.
 
     Climbs up from the trees when d >= 4 and down from K_n otherwise.
-    ``budget`` caps the edge moves tried.
+    ``budget`` caps the edge moves tried.  Each maximizer is checked
+    again before it is reported: its size, diameter and connectivity,
+    and that it is the least code of its orbit, by the prefix search of
+    ``graphs._is_least_code`` bounded by its own code instead of a list
+    of every relabelling.
     """
     if p.n > DEFAULT_ORDER_GUARD:
         raise CapacityError(
@@ -227,10 +244,8 @@ def max_size_bruteforce(p: Parameters, *,
     max_size, extremal = _climb(p.n, p.k, p.d, p.d >= 4, budget)
     for text in extremal:
         g = from_graph6(text)
-        # canonical: the least code of its orbit
         if (g.size != max_size or diameter(g) != p.d
-                or not is_k_connected(g, p.k)
-                or bit_code(g) != min(relabeling_codes(g))):
+                or not is_k_connected(g, p.k) or not _is_least_code(g)):
             raise RuntimeError(f"search accepted an invalid graph {text}")
     return OracleReport(params=p, max_size=max_size, extremal=tuple(extremal),
                         elapsed=time.perf_counter() - start)

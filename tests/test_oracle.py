@@ -15,9 +15,10 @@ from oremax import (DISCONNECTED, BudgetError, CapacityError, Parameters,
                     layer_structure_check, max_size_bruteforce, sweep,
                     to_graph6, verify_theorem)
 from oremax import oracle
-from oremax.graphs import Graph, _certificate, bit_code, from_edges
+from oremax.graphs import (CanonicalForm, Graph, _certificate, bit_code,
+                          from_edges, relabeling_codes)
 from oremax.oracle import (DEFAULT_BUDGET, _alive, _climb, _cut_masks,
-                           _deletions, _trees)
+                           _deletions, _far, _trees)
 
 #: every (n, k, d) that ``sweep(7)`` verifies
 SWEEP_7 = [(n, k, d) for n in range(3, 8) for k in range(1, 8)
@@ -53,6 +54,23 @@ def test_alive_screen_equals_public_invariants():
             assert got is None, (to_graph6(g), k, d)
         else:
             assert got == (dia == d), (to_graph6(g), k, d)
+
+
+def test_far_screen_equals_public_invariants():
+    # far: diameter >= d; the verdict says diameter == d and kappa >= k
+    rng = random.Random(2236)
+    for _ in range(250):
+        n = rng.randrange(4, 8)
+        g = random_graph(rng, n, rng.random())
+        k = rng.randrange(1, min(3, n - 1) + 1)
+        d = rng.randrange(2, 6)
+        got = _far(g.rows, d, (1 << n) - 1, _cut_masks(n, k))
+        dia = diameter(g)
+        if dia is not DISCONNECTED and dia < d:
+            assert got is None, (to_graph6(g), k, d)
+        else:
+            assert got == (dia == d and is_k_connected(g, k)), (
+                to_graph6(g), k, d)
 
 
 def test_twin_deletions_reach_every_child_class():
@@ -226,6 +244,25 @@ def test_climb_canonicalises_only_the_winners(monkeypatch):
         max_size, extremal = _climb(7, 1, 5, up, DEFAULT_BUDGET)
         assert (max_size, len(extremal)) == (8, 2)
         assert calls == len(extremal) <= exact < 100
+
+
+def test_post_check_rejects_labelled_maximizers(monkeypatch):
+    # a climb that reports its winners in their own labelling, down
+    # (6,2,3) and up (6,1,4), (7,1,5), is caught by the canonicity check
+    for n, k, d in [(6, 1, 4), (7, 1, 5), (6, 2, 3)]:
+        winners = []
+
+        def labelled_form(g):
+            winners.append(g)
+            return CanonicalForm(to_graph6(g))
+
+        monkeypatch.setattr(oracle, "canonical_form", labelled_form)
+        with pytest.raises(RuntimeError, match="invalid graph"):
+            max_size_bruteforce(Parameters(n, k, d))
+        # valid maximizers in all but their labels
+        assert all(diameter(g) == d and is_k_connected(g, k)
+                   for g in winners)
+        assert any(bit_code(g) != min(relabeling_codes(g)) for g in winners)
 
 
 def full_enumeration():
