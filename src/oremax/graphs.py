@@ -334,7 +334,7 @@ def check_canonical_order(order: int) -> None:
             f"order {order} exceeds canonical-form guard {CANONICAL_MAX_ORDER}")
 
 
-def _order_codes(g: Graph, least: bool, bound: int | None = None) -> set[int]:
+def _order_codes(g: Graph, least: bool) -> set[int]:
     """Bit codes of ``g`` under the vertex orders that keep twins sorted.
 
     Orders grow one position at a time: placing w at position j appends
@@ -343,15 +343,11 @@ def _order_codes(g: Graph, least: bool, bound: int | None = None) -> set[int]:
     other) are placed in ascending label order; swapping twins is an
     automorphism, so every code of the full orbit is still reached.
     With ``least``, only the orders whose prefix equals the least
-    prefix so far are kept, so the result is the minimum alone.  With a
-    ``bound`` code as well, the search gives up and returns the empty
-    set as soon as the least prefix falls below ``bound``'s prefix of
-    the same length.
+    prefix so far are kept, so the result is the minimum alone.
     """
     rows = g.rows
     n = g.order
     earlier = lower_twins(rows)
-    left = n * (n - 1) // 2
     level = [(0, 0, ())]
     for j in range(n):
         grown = []
@@ -365,29 +361,11 @@ def _order_codes(g: Graph, least: bool, bound: int | None = None) -> set[int]:
                 for x in order:
                     col = col << 1 | row >> x & 1
                 grown.append((code | col, placed | 1 << w, order + (w,)))
-        left -= j
         if least:
             best = min(code for code, _, _ in grown)
-            if bound is not None and best < bound >> left:
-                return set()
             grown = [state for state in grown if state[0] == best]
         level = grown
     return {code for code, _, _ in level}
-
-
-def _is_least_code(g: Graph) -> bool:
-    """True iff no relabelling of ``g`` has a smaller bit code.
-
-    The same predicate as ``bit_code(g) == min(relabeling_codes(g))``,
-    decided without listing the orbit: the least-prefix search of
-    :func:`canonical_form`, bounded by ``g``'s own code.  The label
-    order keeps twins sorted and reads that code, so the least prefix
-    never lies above ``g``'s prefix; a smaller code falls below it at
-    its first differing column, and the search stops there.
-    """
-    check_canonical_order(g.order)
-    code = bit_code(g)
-    return _order_codes(g, least=True, bound=code) == {code}
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

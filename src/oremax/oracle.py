@@ -32,9 +32,11 @@ canonical form.
 The tests referee both directions with a labelled scan of their own,
 over every complement of each size, that shares none of its code.
 Every maximizer is checked again before it is reported: size, diameter
-and connectivity by ``metrics``, and canonicity by a search over vertex
-orders that stops at the first prefix below the maximizer's own code
-(``graphs._is_least_code``), so no orbit is listed.
+and connectivity by ``metrics``, and that it is the least code of its
+orbit.  Up to order 6 that test takes the minimum over the whole orbit
+(``relabeling_codes``, no pruning, at most 720 codes); at orders 7 and
+8, where an orbit holds up to 40,320 codes, it recomputes the pruned
+``canonical_form`` and compares.
 
 Everything is guarded: order 8, and a budget on edge moves (deletions
 or additions) that aborts loudly before a level instead of truncating
@@ -49,12 +51,15 @@ from dataclasses import dataclass, replace
 from .errors import BudgetError, CapacityError
 from .extremal import (FormulaMode, Parameters, backbone_order,
                        enumerate_family, max_size_formula)
-from .graphs import (Graph, _certificate, _is_least_code, bits,
-                     canonical_form, from_graph6, layered_rows, lower_twins,
-                     reach, subset_masks, to_graph6)
+from .graphs import (Graph, _certificate, bit_code, bits, canonical_form,
+                     from_graph6, layered_rows, lower_twins, reach,
+                     relabeling_codes, subset_masks, to_graph6)
 from .metrics import diameter, induced_disconnected, is_k_connected
 
 DEFAULT_ORDER_GUARD = 8
+#: up to this order (at most 6! = 720 codes) the post-check lists each
+#: maximizer's whole orbit; above it, it recomputes the canonical form
+_ORBIT_LIST_ORDER = 6
 DEFAULT_BUDGET = 10**9
 
 
@@ -233,9 +238,9 @@ def max_size_bruteforce(p: Parameters, *,
     Climbs up from the trees when d >= 4 and down from K_n otherwise.
     ``budget`` caps the edge moves tried.  Each maximizer is checked
     again before it is reported: its size, diameter and connectivity,
-    and that it is the least code of its orbit, by the prefix search of
-    ``graphs._is_least_code`` bounded by its own code instead of a list
-    of every relabelling.
+    and that it is the least code of its orbit, by the minimum over
+    ``relabeling_codes`` up to order 6 and by its own canonical form
+    above.
     """
     if p.n > DEFAULT_ORDER_GUARD:
         raise CapacityError(
@@ -244,8 +249,13 @@ def max_size_bruteforce(p: Parameters, *,
     max_size, extremal = _climb(p.n, p.k, p.d, p.d >= 4, budget)
     for text in extremal:
         g = from_graph6(text)
+        # canonical: the least code of its orbit
+        if g.order <= _ORBIT_LIST_ORDER:
+            least = bit_code(g) == min(relabeling_codes(g))
+        else:
+            least = canonical_form(g).g6 == text
         if (g.size != max_size or diameter(g) != p.d
-                or not is_k_connected(g, p.k) or not _is_least_code(g)):
+                or not is_k_connected(g, p.k) or not least):
             raise RuntimeError(f"search accepted an invalid graph {text}")
     return OracleReport(params=p, max_size=max_size, extremal=tuple(extremal),
                         elapsed=time.perf_counter() - start)

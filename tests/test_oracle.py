@@ -247,21 +247,29 @@ def test_climb_canonicalises_only_the_winners(monkeypatch):
 
 
 def test_post_check_rejects_labelled_maximizers(monkeypatch):
-    # a climb that reports its winners in their own labelling, down
-    # (6,2,3) and up (6,1,4), (7,1,5), is caught by the canonicity check
-    for n, k, d in [(6, 1, 4), (7, 1, 5), (6, 2, 3)]:
-        winners = []
+    # a climb that reports its winners in their own labelling is caught
+    # by the canonicity check: by the orbit list on (6,1,4) up and
+    # (6,2,3) down, by the canonical form on (7,1,5) up and (7,2,3) down
+    climb = oracle._climb
+    winners = []
 
-        def labelled_form(g):
-            winners.append(g)
-            return CanonicalForm(to_graph6(g))
+    def labelled_form(g):
+        winners.append(g)
+        return CanonicalForm(to_graph6(g))
 
-        monkeypatch.setattr(oracle, "canonical_form", labelled_form)
+    def labelled_climb(*args):
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "canonical_form", labelled_form)
+            return climb(*args)
+
+    monkeypatch.setattr(oracle, "_climb", labelled_climb)
+    for n, k, d in [(6, 1, 4), (6, 2, 3), (7, 1, 5), (7, 2, 3)]:
+        winners.clear()
         with pytest.raises(RuntimeError, match="invalid graph"):
             max_size_bruteforce(Parameters(n, k, d))
         # valid maximizers in all but their labels
-        assert all(diameter(g) == d and is_k_connected(g, k)
-                   for g in winners)
+        assert winners and all(diameter(g) == d and is_k_connected(g, k)
+                               for g in winners)
         assert any(bit_code(g) != min(relabeling_codes(g)) for g in winners)
 
 
