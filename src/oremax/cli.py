@@ -9,6 +9,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -54,7 +55,11 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
                         default="graph6", help="output format")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first run() and reused: parse_args returns a fresh
+    # Namespace each call and keeps no state on the parser, and help text
+    # reads the terminal width when it is printed
     parser = _Parser(
         prog="oremax",
         description="Maximum size of k-connected graphs of given order and "

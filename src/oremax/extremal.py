@@ -167,6 +167,17 @@ def max_size_formula(p: Parameters,
             + attachment_cap(p.k, p.d) * multiplier)
 
 
+def _backbone_layout(k: int, d: int) -> BlockMap:
+    # pole x = 0, middle blocks in order, pole y last
+    blocks = [1]
+    start = 1
+    for _ in range(d - 1):
+        blocks.append(((1 << k) - 1) << start)
+        start += k
+    blocks.append(1 << start)
+    return BlockMap(tuple(blocks), (0, start))
+
+
 def build_backbone(k: int, d: int) -> tuple[Graph, BlockMap]:
     """The sequential join K1 v Kk v ... v Kk v K1 with d - 1 middle blocks.
 
@@ -176,14 +187,8 @@ def build_backbone(k: int, d: int) -> tuple[Graph, BlockMap]:
     order = backbone_order(k, d)
     if order > MAX_ORDER:
         raise CapacityError(f"backbone order {order} exceeds cap {MAX_ORDER}")
-    blocks = [1]
-    start = 1
-    for _ in range(d - 1):
-        blocks.append(((1 << k) - 1) << start)
-        start += k
-    blocks.append(1 << start)
-    return (Graph(order, layered_rows(blocks)),
-            BlockMap(tuple(blocks), (0, order - 1)))
+    bmap = _backbone_layout(k, d)
+    return Graph(order, layered_rows(bmap.blocks)), bmap
 
 
 def build_family_member(p: Parameters,
@@ -199,9 +204,9 @@ def build_family_member(p: Parameters,
     if len(spec.side_of) != p.outside_count:
         raise ParameterError(
             f"need one side per outside vertex ({p.outside_count})")
-    base, bmap = build_backbone(p.k, p.d)
+    bmap = _backbone_layout(p.k, p.d)
     layers = list(bmap.blocks)
-    for u, side in zip(range(base.order, p.n), spec.side_of):
+    for u, side in enumerate(spec.side_of, bmap.poles[1] + 1):
         # joined to three blocks and the clique, u twins the middle block
         layers[spec.window_start + (side is Side.LAST_THREE)] |= 1 << u
     return Graph(p.n, layered_rows(layers)), bmap

@@ -1,12 +1,14 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import oremax.cli
 import oremax.metrics
 import oremax.oracle
 from oremax import (Parameters, bits, build_backbone, build_family_member,
@@ -353,6 +355,28 @@ def test_help_exits_0(capsys):
     assert "formula" in capsys.readouterr().out
 
 
+def test_parser_is_built_once_for_many_runs(capsys, monkeypatch):
+    built = []
+
+    class CountingParser(oremax.cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(oremax.cli, "_Parser", CountingParser)
+    oremax.cli._build_parser.cache_clear()
+    try:
+        for _ in range(10):
+            assert run(["formula", "--n", "6", "--k", "1", "--d", "4"]) == 0
+            assert run(["bogus"]) == 1
+    finally:
+        # the next run builds from the real _Parser again
+        oremax.cli._build_parser.cache_clear()
+    # one root parser and one subparser per command, once
+    assert built.count("oremax") == 1
+    assert len(built) == 1 + len(oremax.cli._COMMANDS)
+
+
 # --- fresh interpreters -----------------------------------------------------
 
 
@@ -392,3 +416,46 @@ def test_check_reads_a_non_utf8_stdin_byte_as_a_bad_line():
     assert done.returncode == 2, done.stderr
     assert len(done.stdout.splitlines()) == 3  # header and two rows
     assert done.stderr.startswith("oremax: error: line 2: ")
+
+
+# each call reads the previous call's stdout as stdin; only check uses it
+REUSE_SEQUENCE = [
+    ["family", "--n", "9", "--k", "2", "--d", "3", "--bogus"],
+    ["family", "--k", "2", "--d", "3"],
+    ["--help"],
+    ["family", "--n", "9", "--k", "2", "--d", "3"],
+    ["check", "--k", "2"],
+    ["verify", "--n", "6", "--k", "1", "--d", "4", "--json"],
+    ["check", "--k", "0"],
+]
+
+
+def _mask_elapsed(text):
+    return re.sub(r'("elapsed_seconds": )[^,\n]+', r"\g<1>0", text)
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    # help wraps at the terminal width; fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    rounds = []
+    for _ in range(2):
+        calls, out = [], ""
+        for argv in REUSE_SEQUENCE:
+            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+            code = run(argv)
+            out, err = capsys.readouterr()
+            calls.append((code, _mask_elapsed(out), err))
+        rounds.append(calls)
+    assert rounds[0] == rounds[1]
+    calls = rounds[0]
+    assert [code for code, _, _ in calls] == [1, 1, 0, 0, 0, 0, 2]
+    assert "unrecognized arguments: --bogus" in calls[0][2]
+    assert calls[1][2].startswith("usage: oremax family ")
+    assert calls[2][1].startswith("usage: oremax ")
+    assert len(calls[4][1].splitlines()) == len(calls[3][1].splitlines()) + 1
+    out = ""
+    for argv, call in zip(REUSE_SEQUENCE, calls):
+        done = _python("-m", "oremax", *argv, stdin=out, COLUMNS="80")
+        out = done.stdout
+        assert (done.returncode, _mask_elapsed(done.stdout),
+                done.stderr) == call, argv

@@ -248,6 +248,26 @@ def test_family_member_rows_exact(k):
         <= split_sides
 
 
+def test_family_member_builds_one_graph(monkeypatch):
+    # the member shares the backbone's block layout, not a backbone Graph
+    built = []
+    check = Graph.__post_init__
+
+    def counting_check(g):
+        built.append(g.order)
+        check(g)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting_check)
+    for k, d, spec in [(1, 4, FamilyMemberSpec(2, 3, (FIRST,))),
+                       (2, 3, FamilyMemberSpec(1, 4, (FIRST, LAST))),
+                       (3, 5, FamilyMemberSpec(1, 3, ()))]:
+        p = Parameters(backbone_order(k, d) + len(spec.side_of), k, d)
+        built.clear()
+        _, bmap = build_family_member(p, spec)
+        assert built == [p.n]
+        assert bmap == build_backbone(k, d)[1]
+
+
 # --- family enumeration -----------------------------------------------------
 
 
