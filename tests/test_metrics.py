@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -9,11 +10,12 @@ from bruteforce import (_connected_on, brute_lex_min_cut, brute_min_separator,
                         brute_vertex_connectivity, fw_diameter, fw_distances,
                         random_graph, ref_layer_structure, ref_layered_graph)
 from oremax import (DISCONNECTED, ConnectivityResult, FamilyMemberSpec,
-                    Graph, ParameterError, Parameters, Side, bfs_layers, bits,
-                    build_backbone, build_family_member, connectivity,
-                    diameter, empty_graph, from_edges, is_connected,
-                    is_k_connected, layer_structure_check,
-                    local_connectivity, to_graph6, vertex_connectivity)
+                    Graph, ParameterError, Parameters, Side, backbone_order,
+                    bfs_layers, bits, build_backbone, build_family_member,
+                    connectivity, diameter, empty_graph, from_edges,
+                    is_connected, is_k_connected, layer_structure_check,
+                    local_connectivity, relabel, to_graph6,
+                    vertex_connectivity)
 from oremax import metrics
 from oremax.metrics import induced_disconnected
 
@@ -229,6 +231,85 @@ def _complete_bipartite(a, b):
     # the b-vertex side takes the labels a..a+b-1
     return from_edges(a + b, [(u, v) for u in range(a)
                               for v in range(a, a + b)])
+
+
+WITNESS_TABLE = Path(__file__).parent / "data" / "witness.tsv"
+
+
+def _shuffled(rng, g):
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def _planted(rng, n, kappa):
+    # a circulant core on n - 1 vertices with offsets 1..ceil(kappa / 2)
+    # and n random chords, plus one vertex joined to kappa of it
+    core = n - 1
+    edges = {(i, (i + off) % core) for off in range(1, (kappa + 1) // 2 + 1)
+             for i in range(core)}
+    edges |= set(rng.sample(list(combinations(range(core), 2)), n))
+    edges |= {(core, u) for u in rng.sample(range(core), kappa)}
+    return _shuffled(rng, from_edges(n, edges))
+
+
+def _split(rng, n, kappa):
+    # two G(a, 1/2) halves joined only through kappa vertices, each with
+    # kappa + 1 neighbours on either side
+    a = rng.randrange(kappa + 2, n - 2 * kappa)
+    left, cut, right = range(a), range(a, a + kappa), range(a + kappa, n)
+    edges = {e for part in (left, right) for e in combinations(part, 2)
+             if rng.random() < 0.5}
+    for s in cut:
+        edges |= {(s, u) for side in (left, right)
+                  for u in rng.sample(side, kappa + 1)}
+    return _shuffled(rng, from_edges(n, edges))
+
+
+def _member(rng, k, d):
+    # a family member with a random window, relabelled half of the time
+    n = rng.randrange(max(20, backbone_order(k, d) + 2), 63)
+    p = Parameters(n, k, d)
+    length = rng.choice((3, 4))
+    start = rng.randrange(1, d + 3 - length)
+    first = (rng.randrange(1, p.outside_count) if length == 4
+             else p.outside_count)
+    sides = ((Side.FIRST_THREE,) * first
+             + (Side.LAST_THREE,) * (p.outside_count - first))
+    g, _ = build_family_member(p, FamilyMemberSpec(start, length, sides))
+    return _shuffled(rng, g) if rng.random() < 0.5 else g
+
+
+def witness_graphs():
+    """The graphs of tests/data/witness.tsv, all of order 20-62."""
+    rng = random.Random(2074)
+    for i in range(42):
+        yield _planted(rng, rng.randrange(20, 63), 1 + i % 6)
+    for i in range(24):
+        yield _split(rng, rng.randrange(20, 63), 2 + i % 4)
+    for i in range(30):
+        yield _member(rng, 1 + i % 5, 3 + i % 4)
+    for _ in range(12):
+        yield random_graph(rng, rng.randrange(20, 41),
+                           rng.choice((0.2, 0.3, 0.5)))
+    yield _complete_bipartite(21, 9)
+    yield _complete_bipartite(58, 4)
+    yield random_graph(random.Random(2), 30, 0.5)
+
+
+def witness_row(g):
+    r = vertex_connectivity(g)
+    cut = ",".join(map(str, bits(r.witness_cut))) or "-"
+    return f"{to_graph6(g)}\t{r.kappa}\t{cut}"
+
+
+def test_witness_matches_the_pinned_table():
+    # the table pins graph6, kappa and the witness's vertices ("-" for
+    # none), as the greedy search with one connectivity test per
+    # candidate wrote them; `python tests/test_metrics.py` rewrites it
+    want = WITNESS_TABLE.read_text().splitlines()
+    assert len(want) >= 100
+    assert [witness_row(g) for g in witness_graphs()] == want
 
 
 @pytest.mark.parametrize("g, kappa, witness", [
@@ -492,3 +573,8 @@ def test_layer_structure_matches_the_reference():
                         (to_graph6(g), x, y, k)
                     verdicts[want] += 1
     assert min(verdicts.values()) > 1000, verdicts
+
+
+if __name__ == "__main__":
+    WITNESS_TABLE.write_text("".join(witness_row(g) + "\n"
+                                     for g in witness_graphs()))
