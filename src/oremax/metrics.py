@@ -7,31 +7,35 @@ it), and vertex connectivity by Menger's theorem: the maximum number of
 internally disjoint paths between a non-adjacent pair equals the
 minimum separator size.  Each pair is a unit-capacity max flow on the
 vertex-split digraph, found by augmenting paths that step along the
-adjacency bitmask rows.  ``connectivity`` and ``is_k_connected`` share
-one loop (Esfahanian & Hakimi's pairs): one BFS rules out a
-disconnected graph and settles kappa <= 1 with no flow; past that it
-starts from the minimum degree delta, takes a vertex v of that degree,
-and tries v against each non-neighbour and then each non-adjacent pair
-of v's neighbours, at most (n - 1 - delta) + C(delta, 2) flows, each
-capped at the best value so far; ``is_k_connected`` stops at the first
-value below k.  ``vertex_connectivity`` adds the lexicographically
-least minimum cut, chosen greedily one vertex at a time: each candidate
-costs one connectivity test of G minus the chosen vertices and it, and
-the least candidate at each position goes in, so at most n tests in
-all.  The last two positions are settled by cut vertices.  Every other
-traversal over adjacency rows is a call to :func:`oremax.graphs.reach`
-or :func:`oremax.graphs.cut_vertices`.
+adjacency bitmask rows of the vertices in a mask.  ``connectivity`` and
+``is_k_connected`` share one loop (Esfahanian & Hakimi's pairs): one
+BFS rules out a disconnected graph and settles kappa <= 1 with no flow;
+past that it starts from the minimum degree delta, takes a vertex v of
+that degree, and tries v against each non-neighbour and then each
+non-adjacent pair of v's neighbours, at most (n - 1 - delta) +
+C(delta, 2) flows, each capped at the best value so far;
+``is_k_connected`` stops at the first value below k.
+``vertex_connectivity`` adds the lexicographically least minimum cut,
+chosen greedily one vertex at a time: the next is the least candidate
+above the last that lies in a minimum cut of G minus the vertices
+chosen so far.  While that graph's connectivity c + 1 is at least 3,
+one set of pair flows on its vertex mask decides every candidate.
+Every minimum cut is a minimum s-t cut of a pair whose flow reads
+c + 1, and v lies in one iff the s-t flow drops when v goes (Picard &
+Queyranne): unloading v's path and one augmenting search settle that.
+Cut vertices settle the last two positions.  Every other traversal
+over adjacency rows is a call to :func:`oremax.graphs.reach` or
+:func:`oremax.graphs.cut_vertices`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ParameterError
-from .graphs import (Graph, bits, cut_vertices, induced_subgraph,
-                     layered_rows, reach)
+from .graphs import Graph, bits, cut_vertices, layered_rows, reach
 
 
 class Disconnected:
@@ -135,31 +139,20 @@ def diameter(g: Graph) -> int | Disconnected:
 # against the unit that pred[v] sends into v.
 
 
-def local_connectivity(g: Graph, s: int, t: int, *,
-                       limit: int | None = None) -> int:
-    """Maximum number of internally vertex-disjoint s-t paths.
-
-    Requires a non-adjacent pair; adjacent pairs have no finite
-    separator and are the caller's business to skip.  ``limit`` stops
-    the augmentation early once that many paths are found.
-    """
-    g._check_vertex(s)
-    g._check_vertex(t)
-    if s == t:
-        raise ParameterError("endpoints must be distinct")
-    if g.has_edge(s, t):
-        raise ParameterError("endpoints must be non-adjacent")
-    rows = g.rows
-    pred = list(range(g.order))
-    flow = 0
-    while limit is None or flow < limit:
+def _augment(rows: Sequence[int], keep: int, s: int, t: int,
+             pred: list[int], flow: int, limit: int) -> int:
+    # Raise ``flow``, the value of the s-t flow ``pred`` inside the
+    # vertex mask ``keep``, one augmenting path at a time until it
+    # reaches ``limit`` or no path is left; return the value reached.
+    while flow < limit:
         # BFS over exit nodes: via[x] = (u, v) when exit(x) is first
         # reached from exit(u) through entry(v).  Exit(u) leads to its
         # neighbours' entries and, backing over a loaded split arc, to
         # entry(u).  A loaded arc u -> v, or entry(u) of a free u, leads
-        # only back to exit(u), so neither is filtered out.
+        # only back to exit(u), so neither is filtered out.  Entries
+        # outside ``keep`` count as seen from the start.
         via = {s: None}
-        seen_in = 1 << s
+        seen_in = 1 << s | ~keep
         queue = [s]
         for u in queue:  # grows while it is walked
             step = (rows[u] | 1 << u) & ~seen_in
@@ -182,32 +175,54 @@ def local_connectivity(g: Graph, s: int, t: int, *,
     return flow
 
 
+def local_connectivity(g: Graph, s: int, t: int, *,
+                       limit: int | None = None) -> int:
+    """Maximum number of internally vertex-disjoint s-t paths.
+
+    Requires a non-adjacent pair; adjacent pairs have no finite
+    separator and are the caller's business to skip.  ``limit`` stops
+    the augmentation early once that many paths are found.
+    """
+    g._check_vertex(s)
+    g._check_vertex(t)
+    if s == t:
+        raise ParameterError("endpoints must be distinct")
+    if g.has_edge(s, t):
+        raise ParameterError("endpoints must be non-adjacent")
+    return _augment(g.rows, (1 << g.order) - 1, s, t, list(range(g.order)),
+                    0, g.order if limit is None else limit)
+
+
 def induced_disconnected(rows: Sequence[int], keep: int) -> bool:
     """True iff the graph induced on the vertex mask ``keep`` is
     disconnected (never for fewer than two vertices)."""
     return reach(rows, keep & -keep, keep)[0] != keep
 
 
+def _pairs(rows: Sequence[int], keep: int) -> Iterator[tuple[int, int]]:
+    # Esfahanian & Hakimi's pairs of G[keep]: with v its least vertex of
+    # least degree, v against each non-neighbour, then each non-adjacent
+    # pair of v's neighbours.  A minimum separator S separates one of
+    # them: if it misses v it cuts v from a non-neighbour, and if it
+    # holds v then (being minimal) it cuts two neighbours of v apart.
+    v = min(bits(keep), key=lambda u: (rows[u] & keep).bit_count())
+    near = rows[v] & keep
+    return itertools.chain(
+        ((v, t) for t in bits(keep ^ near ^ 1 << v)),
+        ((a, b) for a in bits(near) for b in bits(near & ~rows[a] & -2 << a)))
+
+
 def _kappa(g: Graph, cap: int, exact: bool = True) -> int:
     # min(kappa, cap), with kappa(K_n) = n - 1; no flow exceeds the
     # minimum degree or order - 1.  One BFS settles best <= 1 with no
-    # flow (no separator is empty).  Past that, with v of least degree,
-    # a minimum separator S either misses v and cuts it from a
-    # non-neighbour, or holds v, and then (being minimal) cuts two
-    # non-adjacent neighbours of v apart (Esfahanian & Hakimi).
+    # flow (no separator is empty); past that, the pairs decide.
     # Without ``exact``, stop once best < cap.
-    degrees = [row.bit_count() for row in g.rows]
-    best = min(cap, g.order - 1, *degrees)
+    best = min(cap, g.order - 1, *(row.bit_count() for row in g.rows))
     if best > 0 and not is_connected(g):
         return 0
     if best <= 1:
         return best
-    v = degrees.index(min(degrees))
-    near = g.rows[v]
-    pairs = itertools.chain(
-        ((v, t) for t in bits((1 << g.order) - 1 ^ near ^ 1 << v)),
-        ((a, b) for a in bits(near) for b in bits(near & ~g.rows[a] & -2 << a)))
-    for s, t in pairs:
+    for s, t in _pairs(g.rows, (1 << g.order) - 1):
         if best < cap and not exact:
             break
         # values above the running minimum cannot matter
@@ -215,26 +230,69 @@ def _kappa(g: Graph, cap: int, exact: bool = True) -> int:
     return best
 
 
-def _lex_min_cut(g: Graph, kappa: int) -> int:
+def _tight_flows(rows: Sequence[int], keep: int,
+                 kappa: int) -> list[tuple[int, int, list[int], list[int]]]:
+    # (s, t, flow, paths) for each pair of G[keep], known to have
+    # connectivity kappa, whose flow is exactly kappa; ``paths`` holds
+    # the vertex masks of the flow's kappa paths without their ends.
+    tight = []
+    for s, t in _pairs(rows, keep):
+        pred = list(range(len(rows)))
+        if _augment(rows, keep, s, t, pred, 0, kappa + 1) == kappa:
+            after = {u: v for v, u in enumerate(pred) if u not in (v, s)}
+            paths = []
+            for v in (v for v, u in enumerate(pred) if u == s != v):
+                path = 0
+                while v is not None:
+                    path |= 1 << v
+                    v = after.get(v)
+                paths.append(path)
+            tight.append((s, t, pred, paths))
+    return tight
+
+
+def _in_min_cut(rows: Sequence[int], keep: int, pick: int,
+                tight: list[tuple[int, int, list[int], list[int]]]) -> bool:
+    # True iff the vertex ``pick`` (a one-bit mask) lies in a minimum
+    # cut of G[keep].  Every minimum cut is a minimum s-t cut of some
+    # tight pair, and v lies in one iff G[keep] - v carries one s-t
+    # path fewer (Picard & Queyranne): so iff v is on a path, and once
+    # that path is unloaded one search in G[keep] - v finds none.
+    for s, t, pred, paths in tight:
+        path = next((path for path in paths if path & pick), 0)
+        if path:
+            rest = pred[:]
+            for u in bits(path):
+                rest[u] = u
+            kappa = len(paths)
+            if _augment(rows, keep ^ pick, s, t, rest, kappa - 1,
+                        kappa) < kappa:
+                return True
+    return False
+
+
+def _lex_min_cut(rows: Sequence[int], kappa: int) -> int:
     # One vertex at a time, least first: the next is the least v above
     # the last for which some minimum cut holds the vertices chosen so
-    # far and v, that is, for which G minus them still has a cut of the
-    # c vertices left to choose (none smaller, or G would have a cut
-    # below kappa).  G minus them keeps at least c + 2 vertices, so a
-    # complete one reads c + 1 and fails the test.  No vertex below the
-    # last one chosen passes, or the cut would come earlier, so the last
-    # vertex is the least cut vertex of G minus the others.
-    keep = full = (1 << g.order) - 1
+    # far and v, that is, v lies in a minimum cut of G[keep], G minus
+    # the chosen vertices, whose connectivity is the c + 1 vertices left
+    # to choose.  A cut-vertex search settles c = 1.  No vertex below
+    # the last one chosen passes, or the cut would come earlier, so the
+    # last vertex is the least cut vertex of G[keep].
+    keep = full = (1 << len(rows)) - 1
     pick = 1
     for c in range(kappa - 1, 0, -1):
-        while not (cut_vertices(g.rows, keep ^ pick) if c == 1 else
-                   _kappa(induced_subgraph(g, bits(keep ^ pick)), c + 1,
-                          exact=False) <= c):
-            pick <<= 1
+        if c == 1:
+            while not cut_vertices(rows, keep ^ pick):
+                pick <<= 1
+        else:
+            tight = _tight_flows(rows, keep, c + 1)
+            while not _in_min_cut(rows, keep, pick, tight):
+                pick <<= 1
         keep ^= pick
         pick <<= 1
     if kappa:
-        cuts = cut_vertices(g.rows, keep)
+        cuts = cut_vertices(rows, keep)
         keep ^= cuts & -cuts
     return full ^ keep
 
@@ -252,7 +310,7 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     kappa = connectivity(g)
     if kappa == g.order - 1:
         return ConnectivityResult(kappa, 0)
-    return ConnectivityResult(kappa, _lex_min_cut(g, kappa))
+    return ConnectivityResult(kappa, _lex_min_cut(g.rows, kappa))
 
 
 def is_k_connected(g: Graph, k: int) -> bool:

@@ -227,6 +227,22 @@ def test_witness_matches_the_subset_scan():
     assert kappas == set(range(8))
 
 
+def test_witness_matches_the_subset_scan_at_kappa_3_to_5():
+    # every position but the last two tests its candidates against the
+    # flows of G minus the chosen vertices, which the test above meets
+    # only at n <= 9
+    rng = random.Random(1984)
+    count = dict.fromkeys(range(3, 6), 0)
+    while min(count.values()) < 15:
+        g = random_graph(rng, rng.randrange(10, 15), rng.uniform(0.4, 0.75))
+        r = vertex_connectivity(g)
+        if r.kappa in count and count[r.kappa] < 15:
+            assert r.kappa == brute_vertex_connectivity(g)
+            assert r.witness_cut == brute_lex_min_cut(g, r.kappa), \
+                to_graph6(g)
+            count[r.kappa] += 1
+
+
 def _complete_bipartite(a, b):
     # the b-vertex side takes the labels a..a+b-1
     return from_edges(a + b, [(u, v) for u in range(a)
@@ -330,9 +346,24 @@ def test_witness_is_polynomial(monkeypatch, g, kappa, witness):
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("induced_disconnected", "local_connectivity"):
+    for name in ("induced_disconnected", "local_connectivity", "_augment"):
         monkeypatch.setattr(metrics, name, capped(getattr(metrics, name)))
     assert vertex_connectivity(g) == ConnectivityResult(kappa, witness)
+
+
+def test_witness_builds_no_graph(monkeypatch):
+    # the witness's flows run on vertex masks of the input's rows
+    built = []
+    check = Graph.__post_init__
+
+    def counting_check(g):
+        built.append(g.order)
+        check(g)
+
+    g = _complete_bipartite(58, 4)
+    monkeypatch.setattr(Graph, "__post_init__", counting_check)
+    assert vertex_connectivity(g) == ConnectivityResult(4, 15 << 58)
+    assert built == []
 
 
 @pytest.mark.parametrize("g", [
