@@ -26,21 +26,20 @@ columns, one vertex at a time.
 
 The package's only bitmask loops live here: :func:`bits` lists a mask's
 set bits, :func:`reach` floods breadth-first over adjacency rows (every
-BFS layering, connectedness test and oracle screen goes through it),
-:func:`cut_vertices` finds the cut vertices of an induced subgraph by one
-depth-first search, :func:`subset_masks` builds vertex-subset masks in
-lexicographic order, :func:`lower_twins` is the one twin test,
-:func:`layered_rows` writes the complete layered graph (each layer a
-clique joined to the layers on either side) from its layer masks, and
-:func:`_refine` splits an ordered partition into cells until it is
-equitable.  On that refinement :func:`_certificate` builds the oracle's
-private isomorphism certificate, which only dedups the climb's levels:
-every printed form is still the least code from :func:`canonical_form`.
+BFS layering, connectedness test and the oracle's diameter screen goes
+through it), :func:`cut_vertices` finds the cut vertices of an induced
+subgraph by one depth-first search, :func:`lower_twins` is the one twin
+test, :func:`layered_rows` writes the complete layered graph (each
+layer a clique joined to the layers on either side) from its layer
+masks, and :func:`_refine` splits an ordered partition into cells until
+it is equitable.  On that refinement :func:`_certificate` builds the
+oracle's private isomorphism certificate, which only dedups the climb's
+levels: every printed form is still the least code from
+:func:`canonical_form`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -185,13 +184,6 @@ def cut_vertices(rows: Sequence[int], keep: int) -> int:
     if root_children > 1:
         cuts |= root
     return cuts
-
-
-def subset_masks(order: int, size: int) -> Iterator[int]:
-    """Masks of the ``size``-vertex subsets of ``0..order-1``, in the
-    lexicographic order of their sorted vertex tuples."""
-    return map(sum, itertools.combinations([1 << v for v in range(order)],
-                                           size))
 
 
 def lower_twins(rows: Sequence[int]) -> list[int]:

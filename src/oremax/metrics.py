@@ -193,12 +193,6 @@ def local_connectivity(g: Graph, s: int, t: int, *,
                     0, g.order if limit is None else limit)
 
 
-def induced_disconnected(rows: Sequence[int], keep: int) -> bool:
-    """True iff the graph induced on the vertex mask ``keep`` is
-    disconnected (never for fewer than two vertices)."""
-    return reach(rows, keep & -keep, keep)[0] != keep
-
-
 def _pairs(rows: Sequence[int], keep: int) -> Iterator[tuple[int, int]]:
     # Esfahanian & Hakimi's pairs of G[keep]: with v its least vertex of
     # least degree, v against each non-neighbour, then each non-adjacent

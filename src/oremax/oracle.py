@@ -24,10 +24,21 @@ runs in one of two directions:
 Sparse instances are cheap up and dense ones down.  Either way the
 maximizers are the winning classes of the answer level.  Swapping twins
 is an automorphism, and twins of a graph are twins of its complement,
-so one edge per pair of twin classes is deleted or added.  Each level
-is deduped by the partition-refinement certificate
-``graphs._certificate``, and only the maximizers, one per class, get a
-canonical form.
+so one edge per pair of twin classes is deleted or added.
+
+Each labelled child gets one screen, a depth-d flood from every vertex
+that tells a diameter below, at or above d.  The children it keeps are
+deduped by the partition-refinement certificate
+``graphs._certificate``, and connectivity >= k is then tested once per
+class.  Down, every parent is alive, and a k-connected G less an edge
+uv is k-connected iff it still has k internally disjoint u-v paths
+(Menger): a separator S of G - uv with |S| < k does not separate G, so
+uv joins two components of (G - uv) - S, and S separates u from v.  So
+one u-v flow, capped at k, decides each class, by the edge that made
+its representative.  Adding an edge gives no such lemma, so up,
+``metrics.is_k_connected`` tests the classes of diameter exactly d and
+no others.  At k = 1 the flood settles it: every graph it keeps is
+connected.  Only the maximizers, one per class, get a canonical form.
 
 The tests referee both directions with a labelled scan of their own,
 over every complement of each size, that shares none of its code.
@@ -53,8 +64,8 @@ from .extremal import (FormulaMode, Parameters, backbone_order,
                        enumerate_family, max_size_formula)
 from .graphs import (Graph, _certificate, bit_code, bits, canonical_form,
                      from_graph6, layered_rows, lower_twins, reach,
-                     relabeling_codes, subset_masks, to_graph6)
-from .metrics import diameter, induced_disconnected, is_k_connected
+                     relabeling_codes, to_graph6)
+from .metrics import _augment, diameter, is_k_connected
 
 DEFAULT_ORDER_GUARD = 8
 #: up to this order (at most 6! = 720 codes) the post-check lists each
@@ -95,45 +106,24 @@ class OracleReport:
         }
 
 
-def _cut_masks(n: int, k: int) -> list[int]:
-    """Bitmasks of every vertex subset of size 1..k-1."""
-    return [mask for size in range(1, k) for mask in subset_masks(n, size)]
-
-
-def _k_connected(rows: tuple[int, ...], full: int,
-                 cut_masks: list[int]) -> bool:
-    """No mask of ``cut_masks`` disconnects the graph: for a graph that
-    is not complete, connectivity >= k with ``_cut_masks(n, k)``."""
-    return not any(induced_disconnected(rows, full & ~cut)
-                   for cut in cut_masks)
-
-
-def _alive(rows: tuple[int, ...], d: int, full: int,
-           cut_masks: list[int]) -> bool | None:
-    """None unless the graph is alive; else whether its diameter is d.
-
-    Alive means diameter <= d (one depth-d flood per vertex) and
-    ``_k_connected``.  With no cut masks this is the flood alone: None
-    for diameter > d, True for d, False for less.
-    """
+def _flood(rows: tuple[int, ...], d: int, full: int) -> bool | None:
+    """The climbs' one screen, a depth-d flood from each vertex: None
+    if the diameter is above d, else whether it is exactly d."""
     exact = False
     for v in range(len(rows)):
         reached, at_d = reach(rows, 1 << v, depth=d)
         if reached != full:
             return None
         exact = exact or bool(at_d)
-    return exact if _k_connected(rows, full, cut_masks) else None
+    return exact
 
 
-def _far(rows: tuple[int, ...], d: int, full: int,
-         cut_masks: list[int]) -> bool | None:
-    """The up climb's screen: None unless the diameter is at least d;
-    else whether it is exactly d and the graph is ``_k_connected``.
-    Its one depth-d flood per vertex is ``_alive`` with no cut masks."""
-    exact = _alive(rows, d, full, [])
-    if exact is False:
-        return None
-    return exact is True and _k_connected(rows, full, cut_masks)
+def _keeps_k_paths(rows: tuple[int, ...], k: int, u: int, v: int) -> bool:
+    """Whether ``rows``, a k-connected graph G less its edge uv, is still
+    k-connected: by the module's lemma, whether G - uv has k internally
+    disjoint u-v paths."""
+    n = len(rows)
+    return _augment(rows, (1 << n) - 1, u, v, list(range(n)), 0, k) == k
 
 
 def _deletions(rows: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -182,8 +172,6 @@ def _climb(n: int, k: int, d: int, up: bool,
     BudgetError before any of its moves.
     """
     full = (1 << n) - 1
-    cut_masks = _cut_masks(n, k)
-    screen = _far if up else _alive
     if up:
         start = _trees(n, d) if d < n else []
         size, step = n - 1, 1
@@ -191,22 +179,41 @@ def _climb(n: int, k: int, d: int, up: bool,
         # K_n is alive iff n - 1 >= k
         start = [tuple(full ^ 1 << v for v in range(n))] if n > k else []
         size, step = n * (n - 1) // 2, -1
-    # labelled graph -> None (screened out) or whether it is a winner
-    verdicts = {rows: screen(rows, d, full, cut_masks) for rows in start}
+    # labelled graph -> its flood verdict and, down, the deleted edge
+    verdicts = {rows: (_flood(rows, d, full), None) for rows in start}
     max_size, winners = None, []
     moved = used = 0
+
+    def classes(*hits):
+        # the last labelled graph of each certificate, among the flood
+        # verdicts ``hits``, with its deleted edge and verdict
+        return {_certificate(rows): (rows, edge, hit)
+                for rows, (hit, edge) in verdicts.items()
+                if hit in hits}.values()
+
+    def k_connected(rows, edge):
+        # kappa >= k; every graph that passed the flood is connected
+        if k == 1:
+            return True
+        return (_keeps_k_paths(rows, k, *edge) if edge
+                else is_k_connected(Graph(n, rows), k))
+
     while True:
-        # classes are told apart by certificate; only the winners of
-        # the answer level, one per class, pay for a canonical form
-        found = {_certificate(rows): rows
-                 for rows, hit in verdicts.items() if hit}
+        # kappa runs once per class, on the exact-d ones first; only the
+        # winners of the answer level, one per class, pay for a
+        # canonical form.  Up, a level holds every class of diameter
+        # >= d; down, the alive classes, all of diameter below d.
+        kept = {rows: hit and k_connected(rows, edge)
+                for rows, edge, hit in (classes(True, None) if up
+                                          else classes(True))}
+        found = [rows for rows, ok in kept.items() if ok]
         if found:
-            max_size, winners = size, [*found.values()]
+            max_size, winners = size, found
             if not up:
                 break
-        rest = {_certificate(rows): rows
-                for rows, hit in verdicts.items() if hit is False}
-        level = [*found.values(), *rest.values()]
+        level = ([*found, *(rows for rows, ok in kept.items() if not ok)]
+                 if up else [rows for rows, edge, _ in classes(False)
+                             if k_connected(rows, edge)])
         if not level:
             break
         moves = [(rows, _deletions(tuple(full ^ row ^ 1 << v for v, row
@@ -226,7 +233,8 @@ def _climb(n: int, k: int, d: int, up: bool,
                 child[v] ^= 1 << u
                 child = tuple(child)
                 if child not in verdicts:
-                    verdicts[child] = screen(child, d, full, cut_masks)
+                    verdicts[child] = (_flood(child, d, full),
+                                       None if up else (u, v))
     return max_size, sorted(canonical_form(Graph(n, rows)).g6
                             for rows in winners)
 

@@ -16,7 +16,7 @@ from oremax import (CANONICAL_MAX_ORDER, MAX_ORDER, CapacityError, Graph,
                     is_clique, is_isomorphic, relabel, relabeling_codes,
                     to_dot, to_edge_list, to_graph6)
 from oremax.graphs import (_certificate, _refine, cut_vertices, layered_rows,
-                           lower_twins, reach, subset_masks)
+                           lower_twins, reach)
 
 
 def k_n(n):
@@ -200,14 +200,6 @@ def test_cut_vertices_match_brute_removal():
         assert cut_vertices(g.rows, keep) == expect
         checked += 1
     assert cut_vertices(path(5).rows, 0) == 0
-
-
-def test_subset_masks_follow_combinations_order():
-    for n in range(8):
-        for size in range(n + 2):
-            expect = [sum(1 << v for v in combo)
-                      for combo in combinations(range(n), size)]
-            assert list(subset_masks(n, size)) == expect
 
 
 def test_lower_twins_match_definition():

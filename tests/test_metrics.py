@@ -17,7 +17,6 @@ from oremax import (DISCONNECTED, ConnectivityResult, FamilyMemberSpec,
                     local_connectivity, relabel, to_graph6,
                     vertex_connectivity)
 from oremax import metrics
-from oremax.metrics import induced_disconnected
 
 
 def k_n(n):
@@ -144,15 +143,6 @@ def test_local_connectivity_limit_caps_the_flow():
                 for limit in range(n + 1):
                     assert local_connectivity(g, s, t, limit=limit) == \
                         min(limit, exact)
-
-
-def test_induced_disconnected_matches_brute():
-    rng = random.Random(34)
-    for _ in range(300):
-        n = rng.randrange(1, 10)
-        g = random_graph(rng, n, rng.random())
-        keep = rng.randrange(1 << n)
-        assert induced_disconnected(g.rows, keep) == (not _connected_on(g, keep))
 
 
 def test_vertex_connectivity_basics():
@@ -346,7 +336,7 @@ def test_witness_is_polynomial(monkeypatch, g, kappa, witness):
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("induced_disconnected", "local_connectivity", "_augment"):
+    for name in ("local_connectivity", "_augment"):
         monkeypatch.setattr(metrics, name, capped(getattr(metrics, name)))
     assert vertex_connectivity(g) == ConnectivityResult(kappa, witness)
 

@@ -15,10 +15,10 @@ from oremax import (DISCONNECTED, BudgetError, CapacityError, Parameters,
                     layer_structure_check, max_size_bruteforce, sweep,
                     to_graph6, verify_theorem)
 from oremax import oracle
-from oremax.graphs import (CanonicalForm, Graph, _certificate, bit_code,
-                          from_edges, relabeling_codes)
-from oremax.oracle import (DEFAULT_BUDGET, _alive, _climb, _cut_masks,
-                           _deletions, _far, _trees)
+from oremax.graphs import (CanonicalForm, Graph, _certificate, add_edge,
+                          bit_code, from_edges, relabeling_codes)
+from oremax.oracle import (DEFAULT_BUDGET, _climb, _deletions, _flood,
+                           _keeps_k_paths, _trees)
 
 #: every (n, k, d) that ``sweep(7)`` verifies
 SWEEP_7 = [(n, k, d) for n in range(3, 8) for k in range(1, 8)
@@ -41,14 +41,23 @@ def test_candidate_ok_equals_public_invariants():
 
 
 def test_alive_screen_equals_public_invariants():
-    # alive: kappa >= k and diameter <= d; the verdict says diameter == d
+    # alive: kappa >= k and diameter <= d; the verdict says diameter == d.
+    # The down climb meets g only as an alive g + uv less its edge uv:
+    # if g + uv is not k-connected neither is g, and if it is, one u-v
+    # flow decides
     rng = random.Random(3141)
     for _ in range(250):
         n = rng.randrange(4, 8)
         g = random_graph(rng, n, rng.random())
         k = rng.randrange(1, min(3, n - 1) + 1)
         d = rng.randrange(2, 5)
-        got = _alive(g.rows, d, (1 << n) - 1, _cut_masks(n, k))
+        got = _flood(g.rows, d, (1 << n) - 1)
+        missing = [e for e in cells(n) if not g.has_edge(*e)]
+        if got is not None and missing:
+            u, v = missing[0]
+            if not (is_k_connected(add_edge(g, u, v), k)
+                    and _keeps_k_paths(g.rows, k, u, v)):
+                got = None
         dia = diameter(g)
         if dia is DISCONNECTED or dia > d or not is_k_connected(g, k):
             assert got is None, (to_graph6(g), k, d)
@@ -57,20 +66,43 @@ def test_alive_screen_equals_public_invariants():
 
 
 def test_far_screen_equals_public_invariants():
-    # far: diameter >= d; the verdict says diameter == d and kappa >= k
+    # far: diameter >= d; the verdict says diameter == d and kappa >= k,
+    # which the up climb tests by is_k_connected on the exact-d graphs
     rng = random.Random(2236)
     for _ in range(250):
         n = rng.randrange(4, 8)
         g = random_graph(rng, n, rng.random())
         k = rng.randrange(1, min(3, n - 1) + 1)
         d = rng.randrange(2, 6)
-        got = _far(g.rows, d, (1 << n) - 1, _cut_masks(n, k))
+        exact = _flood(g.rows, d, (1 << n) - 1)
+        got = None if exact is False else (
+            exact is True and is_k_connected(g, k))
         dia = diameter(g)
         if dia is not DISCONNECTED and dia < d:
             assert got is None, (to_graph6(g), k, d)
         else:
             assert got == (dia == d and is_k_connected(g, k)), (
                 to_graph6(g), k, d)
+
+
+def test_edge_lemma_matches_brute_connectivity():
+    # for G with kappa(G) >= k, the down climb's verdict on G - uv, one
+    # u-v flow, against the subset scan on G - uv
+    rng = random.Random(4669)
+    verdicts = set()
+    for _ in range(80):
+        n = rng.randrange(3, 9)
+        g = random_graph(rng, n, rng.uniform(0.4, 1.0))
+        top = min(4, brute_vertex_connectivity(g))
+        for u, v in (e for e in cells(n) if g.has_edge(*e)):
+            child = from_edges(n, [e for e in cells(n)
+                                   if g.has_edge(*e) and e != (u, v)])
+            kappa = brute_vertex_connectivity(child)
+            for k in range(1, top + 1):
+                assert _keeps_k_paths(child.rows, k, u, v) == (kappa >= k), (
+                    to_graph6(g), u, v, k)
+                verdicts.add((k, kappa >= k))
+    assert verdicts == {(k, ok) for k in range(1, 5) for ok in (False, True)}
 
 
 def test_twin_deletions_reach_every_child_class():
@@ -202,16 +234,17 @@ def test_climb_matches_labelled_scan():
 
 
 def test_certificate_splits_climbed_graphs_like_canonical_form(monkeypatch):
-    # every alive labelled graph the SWEEP_7 climbs visit, down and up
+    # every labelled graph of diameter <= d the SWEEP_7 climbs visit,
+    # down and up
     visited = set()
 
     def recording_alive(rows, *args):
-        verdict = _alive(rows, *args)
+        verdict = _flood(rows, *args)
         if verdict is not None:
             visited.add(rows)
         return verdict
 
-    monkeypatch.setattr(oracle, "_alive", recording_alive)
+    monkeypatch.setattr(oracle, "_flood", recording_alive)
     for n, k, d in SWEEP_7:
         for up in (False, True):
             _climb(n, k, d, up, budget=10**9)
@@ -233,17 +266,41 @@ def test_climb_canonicalises_only_the_winners(monkeypatch):
 
     def counting_alive(*args):
         nonlocal exact
-        verdict = _alive(*args)
+        verdict = _flood(*args)
         exact += verdict is True
         return verdict
 
     monkeypatch.setattr(oracle, "canonical_form", counting_form)
-    monkeypatch.setattr(oracle, "_alive", counting_alive)
+    monkeypatch.setattr(oracle, "_flood", counting_alive)
     for up in (False, True):
         calls = exact = 0
         max_size, extremal = _climb(7, 1, 5, up, DEFAULT_BUDGET)
         assert (max_size, len(extremal)) == (8, 2)
         assert calls == len(extremal) <= exact < 100
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_down_climb_tests_kappa_once_per_class(monkeypatch, k):
+    # (8,2,3) and (8,3,3): kappa runs on one labelled graph per class of
+    # each level, never once per labelled child
+    tested = []
+
+    def recording_paths(rows, *args):
+        tested.append(rows)
+        return _keeps_k_paths(rows, *args)
+
+    def recording_kappa(g, *args):
+        tested.append(g.rows)
+        return is_k_connected(g, *args)
+
+    monkeypatch.setattr(oracle, "_keeps_k_paths", recording_paths)
+    monkeypatch.setattr(oracle, "is_k_connected", recording_kappa)
+    max_size, extremal = _climb(8, k, 3, False, DEFAULT_BUDGET)
+    assert max_size is not None and extremal
+    classes = [(sum(row.bit_count() for row in rows), _certificate(rows))
+               for rows in tested]
+    assert len(tested) > 20
+    assert len(set(classes)) == len(classes)
 
 
 def test_post_check_rejects_labelled_maximizers(monkeypatch):
