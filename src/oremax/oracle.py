@@ -26,7 +26,22 @@ maximizers are the winning classes of the answer level.  Swapping twins
 is an automorphism, and twins of a graph are twins of its complement,
 so one edge per pair of twin classes is deleted or added.
 
-Each labelled child gets one screen, a depth-d flood from every vertex
+Most labelled children are copies of a class met before, so a
+canonical-deletion test (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998) drops them first.  A child is kept only if the
+pair just moved has the greatest isomorphism-invariant key
+(deg x + deg y, |N(x) & N(y)|) among the child's movable pairs, ties
+kept.  Down, those are its non-edges; up, its edges whose removal
+leaves it connected, which an edge with a common neighbour, on a
+triangle, needs no search to show.  No class is lost: for a class X
+of the next level and a top-key movable pair e, X + e is alive down
+(its diameter is below d, or the climb would have stopped at its
+level), and X - e is connected with diameter >= d up.  Either way it
+is in the previous level, whose representative makes a copy of X by
+the move that corresponds to e, or by a twin of it, and that move
+carries the top key.
+
+Each child kept gets one screen, a depth-d flood from every vertex
 that tells a diameter below, at or above d.  The children it keeps are
 deduped by the partition-refinement certificate
 ``graphs._certificate``, and connectivity >= k is then tested once per
@@ -124,6 +139,25 @@ def _keeps_k_paths(rows: tuple[int, ...], k: int, u: int, v: int) -> bool:
     disjoint u-v paths."""
     n = len(rows)
     return _augment(rows, (1 << n) - 1, u, v, list(range(n)), 0, k) == k
+
+
+def _top_move(rows: tuple[int, ...], u: int, v: int, up: bool) -> bool:
+    """The canonical-deletion test: whether the pair uv just moved has
+    the greatest key (deg x + deg y, |N(x) & N(y)|) among the movable
+    pairs of ``rows``.  Down those are the non-edges; up, the edges
+    whose removal leaves the graph connected, which an edge with a
+    common neighbour, on a triangle, always does."""
+    degree = [row.bit_count() for row in rows]
+    top = degree[u] + degree[v], (rows[u] & rows[v]).bit_count()
+    for y in range(len(rows)):
+        for x in bits((rows[y] if up else ~rows[y]) & ((1 << y) - 1)):
+            common = rows[x] & rows[y]
+            # up, xy is no bridge iff x's other neighbours reach y without x
+            if (degree[x] + degree[y], common.bit_count()) > top and (
+                    not up or common
+                    or reach(rows, rows[x] ^ 1 << y, ~(1 << x))[0] >> y & 1):
+                return False
+    return True
 
 
 def _deletions(rows: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -232,7 +266,9 @@ def _climb(n: int, k: int, d: int, up: bool,
                 child[u] ^= 1 << v
                 child[v] ^= 1 << u
                 child = tuple(child)
-                if child not in verdicts:
+                # a child the filter drops is not stored: a later copy
+                # of it may have moved its top-key pair
+                if child not in verdicts and _top_move(child, u, v, up):
                     verdicts[child] = (_flood(child, d, full),
                                        None if up else (u, v))
     return max_size, sorted(canonical_form(Graph(n, rows)).g6

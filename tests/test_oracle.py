@@ -16,9 +16,10 @@ from oremax import (DISCONNECTED, BudgetError, CapacityError, Parameters,
                     to_graph6, verify_theorem)
 from oremax import oracle
 from oremax.graphs import (CanonicalForm, Graph, _certificate, add_edge,
-                          bit_code, from_edges, relabeling_codes)
+                          bit_code, from_bit_code, from_edges,
+                          relabeling_codes)
 from oremax.oracle import (DEFAULT_BUDGET, _climb, _deletions, _flood,
-                           _keeps_k_paths, _trees)
+                           _keeps_k_paths, _top_move, _trees)
 
 #: every (n, k, d) that ``sweep(7)`` verifies
 SWEEP_7 = [(n, k, d) for n in range(3, 8) for k in range(1, 8)
@@ -234,18 +235,19 @@ def test_climb_matches_labelled_scan():
 
 
 def test_certificate_splits_climbed_graphs_like_canonical_form(monkeypatch):
-    # every labelled graph of diameter <= d the SWEEP_7 climbs visit,
-    # down and up
+    # every labelled child the SWEEP_7 climbs make, down and up, that
+    # the flood passes, recorded before the canonical-deletion filter
     visited = set()
+    depth = 0
 
-    def recording_alive(rows, *args):
-        verdict = _flood(rows, *args)
-        if verdict is not None:
+    def recording_top_move(rows, *args):
+        if _flood(rows, depth, (1 << len(rows)) - 1) is not None:
             visited.add(rows)
-        return verdict
+        return _top_move(rows, *args)
 
-    monkeypatch.setattr(oracle, "_flood", recording_alive)
+    monkeypatch.setattr(oracle, "_top_move", recording_top_move)
     for n, k, d in SWEEP_7:
+        depth = d
         for up in (False, True):
             _climb(n, k, d, up, budget=10**9)
     pairs = {((len(rows), _certificate(rows)),
@@ -311,6 +313,9 @@ def test_post_check_rejects_labelled_maximizers(monkeypatch):
     winners = []
 
     def labelled_form(g):
+        # the climb's winners may already be canonical: report each
+        # under its greatest code instead of its least
+        g = from_bit_code(g.order, max(relabeling_codes(g)))
         winners.append(g)
         return CanonicalForm(to_graph6(g))
 
@@ -357,6 +362,47 @@ def test_climb_matches_full_enumeration():
             assert max_size == maximizers[0].size, (n, k, d, up)
             assert {bit_code(from_graph6(t)) for t in extremal} == {
                 ref_canonical_code(g) for g in maximizers}
+
+
+def test_climb_levels_hold_every_class(monkeypatch):
+    # each level's certified classes against every labelled graph of
+    # order <= 6, deduped by orbit listing: up, the connected classes of
+    # diameter >= d; down, the alive ones above the answer level and the
+    # maximizers at it, once the classes with kappa < k are set aside
+    certified = {}
+
+    def recording_certificate(rows):
+        g = Graph(len(rows), rows)
+        certified.setdefault((g.order, g.size), set()).add(
+            canonical_form(g).g6)
+        return _certificate(rows)
+
+    monkeypatch.setattr(oracle, "_certificate", recording_certificate)
+    for n in range(3, 7):
+        table = {}
+        for text in dedup_canonical(n, list(range(1 << comb(n, 2)))):
+            g = from_graph6(text)
+            table[text] = (g.size, fw_diameter(g),
+                           brute_vertex_connectivity(g))
+        for k, d in [(k, d) for order, k, d in SWEEP_7 if order == n]:
+            for up in (False, True):
+                certified.clear()
+                max_size, _ = _climb(n, k, d, up, budget=10**9)
+                top = -1 if max_size is None else max_size
+                for size in range(comb(n, 2) + 1):
+                    got = certified.get((n, size), set())
+                    if up:
+                        want = {t for t, (m, dia, _) in table.items()
+                                if m == size and dia is not DISCONNECTED
+                                and dia >= d}
+                    else:
+                        # the flood passes children with kappa < k too
+                        got = {t for t in got if table[t][2] >= k}
+                        want = {t for t, (m, dia, kappa) in table.items()
+                                if m == size and kappa >= k
+                                and (dia < d if size > top
+                                     else size == top and dia == d)}
+                    assert got == want, (n, k, d, up, size)
 
 
 def test_labelled_scan_matches_full_enumeration():
