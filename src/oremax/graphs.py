@@ -152,13 +152,18 @@ def cut_vertices(rows: Sequence[int], keep: int) -> int:
     disconnects it.  A depth-first search from the lowest vertex keeps,
     for each vertex, the least depth its subtree reaches by one back
     edge: a non-root u is a cut vertex iff some child's subtree reaches
-    no higher than u, and the root iff it has two children.
+    no higher than u, and the root iff it has two children.  Every
+    neighbour seen before a vertex w is an ancestor of w, and
+    ``above[i]`` masks the stack's first i + 1 vertices, so the least
+    depth w reaches itself is the least i with ``rows[w] & above[i]``,
+    found by bisection; the parent, at depth ``len(stack) - 1``, always
+    passes.
     """
     seen = root = keep & -keep
     if not root:
         return 0
     stack = [root.bit_length() - 1]
-    depth = [0] * len(rows)
+    above = [root]
     low = [0] * len(rows)
     cuts = root_children = 0
     while stack:
@@ -167,16 +172,24 @@ def cut_vertices(rows: Sequence[int], keep: int) -> int:
         if todo:
             low_bit = todo & -todo
             w = low_bit.bit_length() - 1
-            depth[w] = len(stack)
-            # every neighbour seen before w is an ancestor of w
-            low[w] = min(depth[a] for a in bits(rows[w] & seen))
+            row = rows[w]
+            lo, hi = 0, len(stack) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if row & above[mid]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            low[w] = lo
             seen |= low_bit
             stack.append(w)
+            above.append(above[-1] | low_bit)
             continue
         stack.pop()
+        above.pop()
         if len(stack) > 1:
             parent = stack[-1]
-            if low[u] >= depth[parent]:
+            if low[u] >= len(stack) - 1:  # the parent's depth
                 cuts |= 1 << parent
             low[parent] = min(low[parent], low[u])
         elif stack:

@@ -1,30 +1,34 @@
 """Distance and connectivity invariants.
 
 BFS layer profiles, diameter with a typed sentinel for disconnected
-graphs, ``layer_structure_check`` (is the graph the complete layered
-graph on its BFS layers, as :func:`oremax.graphs.layered_rows` writes
-it), and vertex connectivity by Menger's theorem: the maximum number of
-internally disjoint paths between a non-adjacent pair equals the
-minimum separator size.  Each pair is a unit-capacity max flow on the
-vertex-split digraph, found by augmenting paths that step along the
-adjacency bitmask rows of the vertices in a mask.  ``connectivity`` and
-``is_k_connected`` share one loop (Esfahanian & Hakimi's pairs): one
-BFS rules out a disconnected graph and settles kappa <= 1 with no flow;
-past that it starts from the minimum degree delta, takes a vertex v of
-that degree, and tries v against each non-neighbour and then each
-non-adjacent pair of v's neighbours, at most (n - 1 - delta) +
-C(delta, 2) flows, each capped at the best value so far;
-``is_k_connected`` stops at the first value below k.
-``vertex_connectivity`` adds the lexicographically least minimum cut,
-chosen greedily one vertex at a time: the next is the least candidate
-above the last that lies in a minimum cut of G minus the vertices
-chosen so far.  While that graph's connectivity c + 1 is at least 3,
-one set of pair flows on its vertex mask decides every candidate.
-Every minimum cut is a minimum s-t cut of a pair whose flow reads
-c + 1, and v lies in one iff the s-t flow drops when v goes (Picard &
-Queyranne): unloading v's path and one augmenting search settle that.
-Cut vertices settle the last two positions.  Every other traversal
-over adjacency rows is a call to :func:`oremax.graphs.reach` or
+graphs (one depth-capped flood per vertex, the cap raised until it
+covers the graph), ``layer_structure_check`` (is the graph the complete
+layered graph on its BFS layers, as :func:`oremax.graphs.layered_rows`
+writes it), and vertex connectivity by Menger's theorem: the maximum
+number of internally disjoint paths between a non-adjacent pair equals
+the minimum separator size.  Each pair is a unit-capacity max flow on
+the vertex-split digraph, found by augmenting paths that step along the
+adjacency bitmask rows of the vertices in a mask.  Every connectivity
+function walks Esfahanian & Hakimi's pairs: one BFS rules out a
+disconnected graph and settles kappa <= 1 with no flow; past that it
+starts from the minimum degree delta, takes a vertex v of that degree,
+and tries v against each non-neighbour and then each non-adjacent pair
+of v's neighbours, at most (n - 1 - delta) + C(delta, 2) flows.
+``connectivity`` and ``is_k_connected`` cap each flow at the best value
+so far; ``is_k_connected`` stops at the first value below k.
+``vertex_connectivity`` caps each at one more than the best, so every
+pair that reads the final kappa is read exactly: the same pass yields
+kappa and the tight flows, the pairs whose flow is exactly kappa.  It
+then builds the lexicographically least minimum cut greedily, one
+vertex at a time: the next is the least candidate above the last that
+lies in a minimum cut of G minus the vertices chosen so far.  While
+that graph's connectivity c + 1 is at least 3, one set of tight flows
+on its vertex mask decides every candidate; G's own serve the first
+position.  Every minimum cut is a minimum s-t cut of a tight pair, and
+v lies in one iff the s-t flow drops when v goes (Picard & Queyranne):
+unloading v's path and one augmenting search settle that.  Cut vertices
+settle the last two positions.  Every other traversal over adjacency
+rows is a call to :func:`oremax.graphs.reach` or
 :func:`oremax.graphs.cut_vertices`.
 """
 
@@ -124,7 +128,14 @@ def diameter(g: Graph) -> int | Disconnected:
         raise ParameterError("diameter undefined for order-0 graph")
     if not is_connected(g):
         return DISCONNECTED
-    return max(bfs_layers(g, v).eccentricity for v in range(g.order))
+    # the flood from v at depth best misses a vertex iff v's
+    # eccentricity exceeds best
+    full = (1 << g.order) - 1
+    best = 0
+    for v in range(g.order):
+        while reach(g.rows, 1 << v, depth=best)[0] != full:
+            best += 1
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +235,36 @@ def _kappa(g: Graph, cap: int, exact: bool = True) -> int:
     return best
 
 
-def _tight_flows(rows: Sequence[int], keep: int,
-                 kappa: int) -> list[tuple[int, int, list[int], list[int]]]:
-    # (s, t, flow, paths) for each pair of G[keep], known to have
-    # connectivity kappa, whose flow is exactly kappa; ``paths`` holds
-    # the vertex masks of the flow's kappa paths without their ends.
-    tight = []
+def _tight_flows(rows: Sequence[int], keep: int, cap: int
+                 ) -> tuple[int, list[tuple[int, int, list[int], list[int]]]]:
+    # (min(kappa, cap), tight) for G[keep], with kappa(K_n) = n - 1.
+    # Each pair's flow is capped at best + 1, so it reads its exact
+    # value whenever that is at most best: a pair is kept iff its flow
+    # is exactly the final best, and a lower reading restarts the list.
+    # ``tight`` holds (s, t, flow, paths) for the kept pairs; ``paths``
+    # holds the vertex masks of the flow's paths without their ends.
+    best = min(cap, keep.bit_count() - 1,
+               *((rows[v] & keep).bit_count() for v in bits(keep)))
+    kept = []
     for s, t in _pairs(rows, keep):
         pred = list(range(len(rows)))
-        if _augment(rows, keep, s, t, pred, 0, kappa + 1) == kappa:
-            after = {u: v for v, u in enumerate(pred) if u not in (v, s)}
-            paths = []
-            for v in (v for v, u in enumerate(pred) if u == s != v):
-                path = 0
-                while v is not None:
-                    path |= 1 << v
-                    v = after.get(v)
-                paths.append(path)
-            tight.append((s, t, pred, paths))
-    return tight
+        flow = _augment(rows, keep, s, t, pred, 0, best + 1)
+        if flow < best:
+            best, kept = flow, []
+        if flow == best:
+            kept.append((s, t, pred))
+    tight = []
+    for s, t, pred in kept:
+        after = {u: v for v, u in enumerate(pred) if u not in (v, s)}
+        paths = []
+        for v in (v for v, u in enumerate(pred) if u == s != v):
+            path = 0
+            while v is not None:
+                path |= 1 << v
+                v = after.get(v)
+            paths.append(path)
+        tight.append((s, t, pred, paths))
+    return best, tight
 
 
 def _in_min_cut(rows: Sequence[int], keep: int, pick: int,
@@ -265,24 +287,27 @@ def _in_min_cut(rows: Sequence[int], keep: int, pick: int,
     return False
 
 
-def _lex_min_cut(rows: Sequence[int], kappa: int) -> int:
+def _lex_min_cut(rows: Sequence[int], kappa: int,
+                 tight: list[tuple[int, int, list[int], list[int]]]) -> int:
     # One vertex at a time, least first: the next is the least v above
     # the last for which some minimum cut holds the vertices chosen so
     # far and v, that is, v lies in a minimum cut of G[keep], G minus
     # the chosen vertices, whose connectivity is the c + 1 vertices left
-    # to choose.  A cut-vertex search settles c = 1.  No vertex below
-    # the last one chosen passes, or the cut would come earlier, so the
-    # last vertex is the least cut vertex of G[keep].
+    # to choose.  ``tight`` is G's own set of tight flows, which serves
+    # the first position; a cut-vertex search settles c = 1.  No vertex
+    # below the last one chosen passes, or the cut would come earlier,
+    # so the last vertex is the least cut vertex of G[keep].
     keep = full = (1 << len(rows)) - 1
     pick = 1
     for c in range(kappa - 1, 0, -1):
-        if c == 1:
-            while not cut_vertices(rows, keep ^ pick):
-                pick <<= 1
-        else:
-            tight = _tight_flows(rows, keep, c + 1)
-            while not _in_min_cut(rows, keep, pick, tight):
-                pick <<= 1
+        if c > 1 and keep != full:
+            tight = _tight_flows(rows, keep, c + 1)[1]
+        while not (cut_vertices(rows, keep ^ pick) if c == 1
+                   else _in_min_cut(rows, keep, pick, tight)):
+            pick <<= 1
+            if pick > keep:
+                raise RuntimeError(f"no vertex of G[{keep:#x}] lies in a "
+                                   f"minimum cut of size {c + 1}")
         keep ^= pick
         pick <<= 1
     if kappa:
@@ -301,10 +326,17 @@ def connectivity(g: Graph) -> int:
 def vertex_connectivity(g: Graph) -> ConnectivityResult:
     """Minimum separating set size (order - 1 for complete graphs) and
     the lexicographically least minimum cut."""
-    kappa = connectivity(g)
+    if g.order == 0:
+        raise ParameterError("connectivity undefined for order-0 graph")
+    full = (1 << g.order) - 1
+    delta = min(row.bit_count() for row in g.rows)
+    if delta and not is_connected(g):
+        return ConnectivityResult(0, 0)
+    kappa, tight = ((delta, []) if delta <= 1
+                    else _tight_flows(g.rows, full, g.order - 1))
     if kappa == g.order - 1:
         return ConnectivityResult(kappa, 0)
-    return ConnectivityResult(kappa, _lex_min_cut(g.rows, kappa))
+    return ConnectivityResult(kappa, _lex_min_cut(g.rows, kappa, tight))
 
 
 def is_k_connected(g: Graph, k: int) -> bool:

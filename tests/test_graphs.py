@@ -202,6 +202,35 @@ def test_cut_vertices_match_brute_removal():
     assert cut_vertices(path(5).rows, 0) == 0
 
 
+def test_cut_vertices_on_deep_search_trees():
+    # paths and cycles take the search to depth n - 1, where the
+    # bisection over the stack has the most ground to cover; chords
+    # reach back to every depth, and random keep masks cut the rest
+    rng = random.Random(62)
+    checked = 0
+    for n in (*range(3, 62, 4), 62):
+        full = (1 << n) - 1
+        for labels in (list(range(n)), rng.sample(range(n), n)):
+            line = list(zip(labels, labels[1:]))
+            ring = [*line, (labels[-1], labels[0])]
+            chords = [tuple(rng.sample(range(n), 2))
+                      for _ in range(rng.randrange(1, n // 3 + 2))]
+            for edges in (line, ring, ring + chords):
+                g = from_edges(n, edges)
+                drops = (rng.getrandbits(n) & rng.getrandbits(n)
+                         & rng.getrandbits(n) for _ in range(4))
+                for keep in (full, *(full & ~drop for drop in drops)):
+                    if not _connected_on(g, keep):
+                        continue
+                    expect = sum(1 << v for v in bits(keep)
+                                 if not _connected_on(g, keep & ~(1 << v)))
+                    assert cut_vertices(g.rows, keep) == expect
+                    checked += 1
+    assert checked >= 200
+    assert cut_vertices(path(62).rows, (1 << 62) - 1) == (1 << 61) - 2
+    assert cut_vertices(cycle(62).rows, (1 << 62) - 1) == 0
+
+
 def test_lower_twins_match_definition():
     # v's lower twins: every u < v with N(u) - {v} == N(v) - {u}
     def want(g):

@@ -365,6 +365,7 @@ def test_disconnected_graph_runs_no_flow(monkeypatch, g):
         raise AssertionError("flow on a disconnected graph")
 
     monkeypatch.setattr(metrics, "local_connectivity", no_flow)
+    monkeypatch.setattr(metrics, "_augment", no_flow)
     assert vertex_connectivity(g) == ConnectivityResult(0, 0)
     for k in range(1, g.order + 1):
         assert not is_k_connected(g, k)
@@ -405,45 +406,119 @@ def test_is_k_connected():
     (3, from_edges(43, [(u, v) for u in range(3) for v in range(3, 43)])),
 ])
 def test_flows_follow_the_esfahanian_hakimi_pairs(monkeypatch, kappa, g):
-    # each kappa loop pairs v, the least vertex of least degree, with its
-    # non-neighbours, then pairs v's non-adjacent neighbours, and runs at
-    # most (n - 1 - delta) + C(delta, 2) flows
-    calls = []
-    inner_kappa, inner_flow = metrics._kappa, metrics.local_connectivity
+    # each pair loop on G[keep] pairs v, its least vertex of least
+    # degree, with its non-neighbours, then pairs v's non-adjacent
+    # neighbours, and runs at most (n - 1 - delta) + C(delta, 2) flows:
+    # vertex_connectivity's loops are _tight_flows calls, each flow one
+    # _augment from scratch; is_k_connected's are _kappa calls, each
+    # flow one local_connectivity
+    calls = []  # (rows, keep, flows) per loop
+    inner = {name: getattr(metrics, name) for name in
+             ("_kappa", "local_connectivity", "_tight_flows", "_augment")}
+    in_loop = False
 
     def kappa_call(h, *args, **kwargs):
-        calls.append((h, []))
-        return inner_kappa(h, *args, **kwargs)
+        calls.append((h.rows, (1 << h.order) - 1, []))
+        return inner["_kappa"](h, *args, **kwargs)
 
     def flow_call(h, s, t, **kwargs):
-        assert h is calls[-1][0]
-        calls[-1][1].append((s, t))
-        return inner_flow(h, s, t, **kwargs)
+        assert h.rows is calls[-1][0]
+        calls[-1][2].append((s, t))
+        return inner["local_connectivity"](h, s, t, **kwargs)
+
+    def tight_call(rows, keep, cap):
+        nonlocal in_loop
+        calls.append((rows, keep, []))
+        in_loop = True
+        try:
+            return inner["_tight_flows"](rows, keep, cap)
+        finally:
+            in_loop = False
+
+    def augment_call(rows, keep, s, t, pred, flow, limit):
+        if in_loop:
+            assert flow == 0 and rows is calls[-1][0] and keep == calls[-1][1]
+            calls[-1][2].append((s, t))
+        return inner["_augment"](rows, keep, s, t, pred, flow, limit)
 
     def check_calls():
         count = 0
-        for h, flows in calls:
-            delta = min(map(h.degree, h.vertices()))
-            v = min(h.vertices(), key=h.degree)
+        for rows, keep, flows in calls:
+            def degree(u):
+                return (rows[u] & keep).bit_count()
+            delta = min(map(degree, bits(keep)))
+            v = min(bits(keep), key=degree)
             for s, t in flows:
+                assert keep >> s & 1 and keep >> t & 1
                 if s == v:
-                    assert t != v and not h.has_edge(v, t)
+                    assert t != v and not rows[v] >> t & 1
                 else:
-                    assert s < t and h.has_edge(v, s) and h.has_edge(v, t)
-                    assert not h.has_edge(s, t)
+                    assert s < t and rows[v] >> s & 1 and rows[v] >> t & 1
+                    assert not rows[s] >> t & 1
             assert len(flows) == len(set(flows))
-            assert len(flows) <= h.order - 1 - delta + comb(delta, 2)
+            assert len(flows) <= keep.bit_count() - 1 - delta + comb(delta, 2)
             count += len(flows)
         calls.clear()
         return count
 
-    monkeypatch.setattr(metrics, "_kappa", kappa_call)
-    monkeypatch.setattr(metrics, "local_connectivity", flow_call)
+    for name, hook in (("_kappa", kappa_call), ("local_connectivity", flow_call),
+                       ("_tight_flows", tight_call), ("_augment", augment_call)):
+        monkeypatch.setattr(metrics, name, hook)
     assert vertex_connectivity(g).kappa == kappa
+    assert calls[0][1] == (1 << g.order) - 1  # G itself first
     assert check_calls()
     for k in range(1, kappa + 2):
         assert is_k_connected(g, k) == (k <= kappa)
         check_calls()
+
+
+def test_vertex_connectivity_walks_the_pairs_of_g_once(monkeypatch):
+    # kappa and the first position's tight flows come from one pass
+    full_passes = []
+    inner = metrics._pairs
+
+    def pairs_call(rows, keep):
+        full_passes.append(keep == (1 << len(rows)) - 1)
+        return inner(rows, keep)
+
+    monkeypatch.setattr(metrics, "_pairs", pairs_call)
+    for g, kappa in ((build_backbone(3, 4)[0], 3),
+                     (_complete_bipartite(21, 9), 9),
+                     (random_graph(random.Random(2), 30, 0.5), 9)):
+        full_passes.clear()
+        assert vertex_connectivity(g).kappa == kappa
+        assert full_passes.count(True) == 1
+        assert len(full_passes) == kappa - 2  # one per position with c >= 2
+
+
+def test_tight_flows_keep_exactly_the_pairs_at_kappa():
+    # the running cap reads every pair at or below the final kappa
+    # exactly, so the kept pairs are those whose flow is kappa
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randrange(2, 15)
+        g = random_graph(rng, n, rng.random())
+        full = (1 << n) - 1
+        kappa, tight = metrics._tight_flows(g.rows, full, n - 1)
+        assert kappa == brute_vertex_connectivity(g)
+        assert [(s, t) for s, t, _, _ in tight] == [
+            (s, t) for s, t in metrics._pairs(g.rows, full)
+            if local_connectivity(g, s, t) == kappa]
+        for s, t, _, paths in tight:
+            assert len(paths) == kappa
+
+
+def test_a_pair_below_the_running_minimum_restarts_the_tight_list():
+    # vertex 4 has degree 4 and is v; its pairs with 5, 6 and 7 read
+    # exactly 4 before a pair of its neighbours finds kappa = 3, and
+    # those stale pairs would put vertex 0 in the witness
+    g = from_edges(13, [*combinations(range(4), 2),
+                        *((4, a) for a in range(4)),
+                        *((a, s) for a in range(4) for s in (5, 6, 7)),
+                        *combinations(range(8, 13), 2),
+                        *((b, s) for b in range(8, 13) for s in (5, 6, 7))])
+    assert vertex_connectivity(g) == ConnectivityResult(3, 0b11100000)
+    assert vertex_connectivity(g).witness_cut == brute_lex_min_cut(g, 3)
 
 
 @pytest.mark.parametrize("first", [0, 12])
