@@ -13,10 +13,9 @@ from .extremal import (BlockMap, FamilyMemberSpec, FormulaMode, Parameters,
                        build_backbone, build_family_member, enumerate_family,
                        is_extremal, max_size_formula)
 from .graphs import (CANONICAL_MAX_ORDER, MAX_ORDER, CanonicalForm, Graph,
-                     add_edge, bit_code, bits, canonical_form, empty_graph,
-                     from_bit_code, from_edges, from_graph6, induced_subgraph,
-                     is_clique, is_isomorphic, relabel, relabeling_codes,
-                     to_dot, to_edge_list, to_graph6)
+                     bit_code, bits, canonical_form, from_bit_code,
+                     from_edges, from_graph6, relabeling_codes, to_dot,
+                     to_edge_list, to_graph6)
 from .metrics import (DISCONNECTED, ConnectivityResult, Disconnected,
                       LayerProfile, bfs_layers, connectivity, diameter,
                       is_connected, is_k_connected, layer_structure_check,
@@ -28,15 +27,14 @@ __all__ = [
     "CapacityError", "ConnectivityResult", "DISCONNECTED", "Disconnected",
     "FamilyMemberSpec", "FormulaMode", "Graph", "Graph6ParseError",
     "LayerProfile", "MAX_ORDER", "OracleReport", "ParameterError",
-    "Parameters", "Side", "add_edge", "attachment_cap", "backbone_order",
+    "Parameters", "Side", "attachment_cap", "backbone_order",
     "backbone_size", "bfs_layers", "bit_code", "bits", "build_backbone",
     "build_family_member", "canonical_form", "connectivity", "diameter",
-    "empty_graph", "enumerate_family", "from_bit_code", "from_edges",
-    "from_graph6", "induced_subgraph", "is_clique", "is_connected",
-    "is_extremal", "is_isomorphic", "is_k_connected",
+    "enumerate_family", "from_bit_code", "from_edges", "from_graph6",
+    "is_connected", "is_extremal", "is_k_connected",
     "layer_structure_check", "local_connectivity", "max_size_bruteforce",
-    "max_size_formula", "relabel", "relabeling_codes", "sweep", "to_dot",
+    "max_size_formula", "relabeling_codes", "sweep", "to_dot",
     "to_edge_list", "to_graph6", "verify_theorem", "vertex_connectivity",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

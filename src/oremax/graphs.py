@@ -2,8 +2,8 @@
 
 Vertices are dense integers ``0..order-1``.  Each adjacency row is an int
 whose set bits are the neighbours of that vertex, so neighbourhood algebra
-(unions, intersections, clique tests) is plain integer arithmetic.  Graph
-values are immutable; every mutator returns a new value.
+(unions, intersections, degrees) is plain integer arithmetic.  Graph
+values are immutable: :func:`from_edges` builds one from an edge list.
 
 Everything is sized for desk-scale work: serialization uses the graph6
 format and therefore caps the order at 62, and canonical forms are found
@@ -82,21 +82,10 @@ class Graph:
         """Number of edges."""
         return sum(row.bit_count() for row in self.rows) // 2
 
-    def vertices(self) -> range:
-        return range(self.order)
-
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
         return bool(self.rows[u] >> v & 1)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return frozenset(bits(self.rows[v]))
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.rows[v].bit_count()
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.order:
@@ -227,34 +216,8 @@ def layered_rows(layers: Sequence[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _mask_from(vertices: Iterable[int], order: int) -> int:
-    mask = 0
-    for v in vertices:
-        if not 0 <= v < order:
-            raise IndexError(f"vertex {v} out of range for order {order}")
-        mask |= 1 << v
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # construction
-
-
-def empty_graph(order: int) -> Graph:
-    """Graph with ``order`` vertices and no edges."""
-    return from_edges(order, ())
-
-
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    """New graph with the edge uv added (idempotent)."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        raise ParameterError(f"self-loop at vertex {u} not allowed")
-    rows = list(g.rows)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    return Graph(g.order, tuple(rows))
 
 
 def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -272,39 +235,6 @@ def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(order, tuple(rows))
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by ``vertices``, relabelled by ascending original index."""
-    mask = _mask_from(vertices, g.order)
-    kept = list(bits(mask))
-    label = {old: 1 << new for new, old in enumerate(kept)}
-    return Graph(len(kept), tuple(sum(map(label.__getitem__,
-                                          bits(g.rows[u] & mask)))
-                                  for u in kept))
-
-
-def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff every pair in ``vertices`` is adjacent (true for size <= 1)."""
-    mask = _mask_from(vertices, g.order)
-    for v in bits(mask):
-        if g.rows[v] & mask != mask ^ (1 << v):
-            return False
-    return True
-
-
-def relabel(g: Graph, perm: Iterable[int]) -> Graph:
-    """Relabelled copy: old vertex v becomes ``perm[v]``."""
-    p = tuple(perm)
-    if sorted(p) != list(range(g.order)):
-        raise ParameterError("perm must be a permutation of 0..order-1")
-    rows = [0] * g.order
-    for v in range(g.order):
-        row = 0
-        for u in bits(g.rows[v]):
-            row |= 1 << p[u]
-        rows[p[v]] = row
-    return Graph(g.order, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +381,6 @@ def _certificate(rows: Sequence[int]) -> int:
         return code
 
     return least([(1 << len(rows)) - 1])
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """True iff the two graphs are isomorphic (orders <= 10)."""
-    return canonical_form(g) == canonical_form(h)
 
 
 # ---------------------------------------------------------------------------

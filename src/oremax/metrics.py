@@ -72,13 +72,6 @@ class LayerProfile:
     layers: tuple[int, ...]
     eccentricity: int
 
-    def reached(self) -> int:
-        """Bitmask of the source's component."""
-        mask = 0
-        for layer in self.layers:
-            mask |= layer
-        return mask
-
     def layer_of(self, v: int) -> int | None:
         """Distance from the source to v, or None if unreachable."""
         for r, layer in enumerate(self.layers):
@@ -104,8 +97,7 @@ class ConnectivityResult:
 
 def bfs_layers(g: Graph, source: int) -> LayerProfile:
     """Layers of vertices by exact distance from ``source``."""
-    if not 0 <= source < g.order:
-        raise IndexError(f"vertex {source} out of range for order {g.order}")
+    g._check_vertex(source)
     seen = layer = 1 << source
     layers = []
     while layer:

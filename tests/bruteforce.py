@@ -4,14 +4,17 @@ Deliberately dumb: all-pairs relaxation for distances and the layer
 structure, an edge list for the complete layered graph, subset
 enumeration for cuts, full permutation scans for canonical codes, the
 individualisation-refinement tree with no pruning for the certificate,
-and the labelled scan over every complement of each size for the
-oracle's maximum and maximizers.  They share no code with the package
-so disagreements mean real bugs.
+networkx for isomorphism, and the labelled scan over every complement
+of each size for the oracle's maximum and maximizers.  They share no
+code with the package beyond building a graph from its edge list, so
+disagreements mean real bugs.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+
+import networkx as nx
 
 from oremax import DISCONNECTED, Graph, from_edges, to_graph6
 
@@ -22,6 +25,29 @@ def random_graph(rng, order: int, p: float = 0.5) -> Graph:
     edges = [(u, v) for u in range(order) for v in range(u + 1, order)
              if rng.random() < p]
     return from_edges(order, edges)
+
+
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """Every edge (u, v) with u < v, in :func:`cells` order."""
+    return [(u, v) for u, v in cells(g.order) if g.rows[u] >> v & 1]
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Copy of ``g`` in which old vertex v is ``perm[v]``."""
+    if sorted(perm) != list(range(g.order)):
+        raise ValueError("perm must be a permutation of 0..order-1")
+    return from_edges(g.order, [(perm[u], perm[v]) for u, v in edges(g)])
+
+
+def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """Isomorphism by networkx's VF2 matcher."""
+    def nx_graph(x: Graph) -> nx.Graph:
+        ref = nx.Graph()
+        ref.add_nodes_from(range(x.order))
+        ref.add_edges_from(edges(x))
+        return ref
+
+    return nx.is_isomorphic(nx_graph(g), nx_graph(h))
 
 
 def fw_distances(g: Graph) -> list[list[float]]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import oremax.cli
+import oremax.graphs
 import oremax.metrics
 import oremax.oracle
 from oremax import (Parameters, bits, build_backbone, build_family_member,
@@ -407,6 +408,44 @@ def test_import_pulls_in_no_numpy():
     done = _python("-c", "import oremax, sys; "
                          "assert 'numpy' not in sys.modules")
     assert done.returncode == 0, done.stderr
+
+
+PUBLIC = [
+    "BlockMap", "BudgetError", "CANONICAL_MAX_ORDER", "CanonicalForm",
+    "CapacityError", "ConnectivityResult", "DISCONNECTED", "Disconnected",
+    "FamilyMemberSpec", "FormulaMode", "Graph", "Graph6ParseError",
+    "LayerProfile", "MAX_ORDER", "OracleReport", "ParameterError",
+    "Parameters", "Side", "attachment_cap", "backbone_order",
+    "backbone_size", "bfs_layers", "bit_code", "bits", "build_backbone",
+    "build_family_member", "canonical_form", "connectivity", "diameter",
+    "enumerate_family", "from_bit_code", "from_edges", "from_graph6",
+    "is_connected", "is_extremal", "is_k_connected",
+    "layer_structure_check", "local_connectivity", "max_size_bruteforce",
+    "max_size_formula", "relabeling_codes", "sweep", "to_dot",
+    "to_edge_list", "to_graph6", "verify_theorem", "vertex_connectivity",
+]
+
+#: names that left the public surface in 0.2.0
+REMOVED = ["add_edge", "empty_graph", "induced_subgraph", "is_clique",
+           "relabel", "is_isomorphic", "_mask_from"]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(oremax.__all__) == PUBLIC
+    assert len(set(oremax.__all__)) == len(oremax.__all__)
+    star = {}
+    exec("from oremax import *", star)
+    assert set(star) - {"__builtins__"} == set(PUBLIC)
+    for name in REMOVED:
+        assert not hasattr(oremax, name), name
+        assert not hasattr(oremax.graphs, name), name
+    for method in ("vertices", "neighbors", "degree"):
+        assert not hasattr(oremax.Graph, method), method
+    assert not hasattr(oremax.LayerProfile, "reached")
+    # Python 3.10 has no tomllib, so the version line is read as text
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, re.M)
+    assert oremax.__version__ == version
 
 
 def test_check_reads_a_non_utf8_stdin_byte_as_a_bad_line():

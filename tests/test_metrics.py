@@ -7,15 +7,15 @@ import networkx as nx
 import pytest
 
 from bruteforce import (_connected_on, brute_lex_min_cut, brute_min_separator,
-                        brute_vertex_connectivity, fw_diameter, fw_distances,
-                        random_graph, ref_layer_structure, ref_layered_graph)
+                        brute_vertex_connectivity, edges, fw_diameter,
+                        fw_distances, random_graph, ref_layer_structure,
+                        ref_layered_graph, relabel)
 from oremax import (DISCONNECTED, ConnectivityResult, FamilyMemberSpec,
                     Graph, ParameterError, Parameters, Side, backbone_order,
                     bfs_layers, bits, build_backbone, build_family_member,
-                    connectivity, diameter, empty_graph, from_edges,
-                    is_connected, is_k_connected, layer_structure_check,
-                    local_connectivity, relabel, to_graph6,
-                    vertex_connectivity)
+                    connectivity, diameter, from_edges, is_connected,
+                    is_k_connected, layer_structure_check, local_connectivity,
+                    to_graph6, vertex_connectivity)
 from oremax import metrics
 
 
@@ -53,7 +53,7 @@ def test_bfs_layers_basics():
 def test_bfs_layers_unreachable_excluded():
     g = from_edges(4, [(0, 1)])
     prof = bfs_layers(g, 0)
-    assert prof.reached() == 0b0011
+    assert prof.layers == (0b0001, 0b0010)
     assert prof.layer_of(3) is None
 
 
@@ -72,9 +72,9 @@ def test_diameter_basics():
     assert diameter(path(5)) == 4
     t, _ = build_backbone(2, 3)
     assert diameter(t) == 3
-    assert diameter(empty_graph(2)) is DISCONNECTED
+    assert diameter(from_edges(2, ())) is DISCONNECTED
     with pytest.raises(ParameterError):
-        diameter(empty_graph(0))
+        diameter(from_edges(0, ()))
 
 
 def test_diameter_matches_floyd_warshall_corpus():
@@ -151,15 +151,15 @@ def test_vertex_connectivity_basics():
     r = vertex_connectivity(path(4))
     assert r.kappa == 1
     assert r.witness_cut == 0b0010  # vertex 1, the lex-least cut vertex
-    assert vertex_connectivity(empty_graph(3)).kappa == 0
-    assert vertex_connectivity(empty_graph(2)) == ConnectivityResult(0, 0)
+    assert vertex_connectivity(from_edges(3, ())).kappa == 0
+    assert vertex_connectivity(from_edges(2, ())) == ConnectivityResult(0, 0)
     assert vertex_connectivity(k_n(2)) == ConnectivityResult(1, 0)
     # minimum degree 3 but no path between the two cliques
     assert vertex_connectivity(two_k4()) == ConnectivityResult(0, 0)
     t, _ = build_backbone(3, 4)
     assert vertex_connectivity(t).kappa == 3
     with pytest.raises(ParameterError):
-        vertex_connectivity(empty_graph(0))
+        vertex_connectivity(from_edges(0, ()))
 
 
 def test_vertex_connectivity_matches_brute_corpus():
@@ -393,10 +393,10 @@ def test_is_k_connected():
     assert is_k_connected(cycle(5), 2)
     assert not is_k_connected(from_edges(3, [(0, 1)]), 1)
     assert not is_k_connected(two_k4(), 1)
-    assert not is_k_connected(empty_graph(2), 1)
+    assert not is_k_connected(from_edges(2, ()), 1)
     assert is_k_connected(k_n(2), 1)
     assert not is_k_connected(k_n(2), 2)
-    assert not is_k_connected(empty_graph(0), 1)
+    assert not is_k_connected(from_edges(0, ()), 1)
     with pytest.raises(ParameterError):
         is_k_connected(k_n(4), 0)
 
@@ -533,12 +533,12 @@ def test_least_degree_vertex_in_every_minimum_cut(first):
     g = from_edges(14, [*combinations(left, 2), *combinations(right, 2),
                         *((c1, u) for u in left[:2] + right[:2]),
                         *((c2, u) for u in left[2:4] + right[2:4])])
-    assert min(g.vertices(), key=g.degree) == c1
+    assert min(range(14), key=lambda v: g.rows[v].bit_count()) == c1
     assert vertex_connectivity(g) == ConnectivityResult(2, 1 << c1 | 1 << c2)
     assert connectivity(g) == 2
     assert is_k_connected(g, 2)
     assert not is_k_connected(g, 3)
-    assert min(local_connectivity(g, c1, t) for t in g.vertices()
+    assert min(local_connectivity(g, c1, t) for t in range(14)
                if t != c1 and not g.has_edge(c1, t)) == 3
 
 
@@ -548,9 +548,8 @@ def test_connectivity_matches_networkx():
         n = rng.randrange(15, 41)
         g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5]))
         ref = nx.Graph()
-        ref.add_nodes_from(g.vertices())
-        ref.add_edges_from((u, v) for u in g.vertices() for v in bits(g.rows[u])
-                           if u < v)
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(edges(g))
         kappa = nx.node_connectivity(ref)
         assert connectivity(g) == kappa, to_graph6(g)
         assert kappa == 0 or is_k_connected(g, kappa)
@@ -629,7 +628,7 @@ def test_layer_structure_preconditions():
     with pytest.raises(ParameterError):
         layer_structure_check(path(5), 0, 2, 1)  # pair below the diameter
     with pytest.raises(ParameterError):
-        layer_structure_check(empty_graph(2), 0, 1, 1)
+        layer_structure_check(from_edges(2, ()), 0, 1, 1)
     with pytest.raises(ParameterError):
         layer_structure_check(path(5), 0, 4, 0)
 

@@ -6,18 +6,16 @@ import networkx as nx
 import pytest
 
 from bruteforce import (brute_vertex_connectivity, candidate_ok, cells,
-                        dedup_canonical, fw_diameter, keep_masks,
-                        labelled_search, random_graph, ref_canonical_code,
-                        scan_level)
+                        dedup_canonical, edges, fw_diameter, is_isomorphic,
+                        keep_masks, labelled_search, random_graph,
+                        ref_canonical_code, relabel, scan_level)
 from oremax import (DISCONNECTED, BudgetError, CapacityError, Parameters,
                     bfs_layers, canonical_form, diameter, enumerate_family,
-                    from_graph6, is_isomorphic, is_k_connected,
-                    layer_structure_check, max_size_bruteforce, sweep,
-                    to_graph6, verify_theorem)
+                    from_graph6, is_k_connected, layer_structure_check,
+                    max_size_bruteforce, sweep, to_graph6, verify_theorem)
 from oremax import oracle
-from oremax.graphs import (CanonicalForm, Graph, _certificate, add_edge,
-                          bit_code, from_bit_code, from_edges,
-                          relabeling_codes)
+from oremax.graphs import (CanonicalForm, Graph, _certificate, bit_code,
+                          from_bit_code, from_edges, relabeling_codes)
 from oremax.oracle import (DEFAULT_BUDGET, _climb, _deletions, _flood,
                            _keeps_k_paths, _top_move, _trees)
 
@@ -56,7 +54,7 @@ def test_alive_screen_equals_public_invariants():
         missing = [e for e in cells(n) if not g.has_edge(*e)]
         if got is not None and missing:
             u, v = missing[0]
-            if not (is_k_connected(add_edge(g, u, v), k)
+            if not (is_k_connected(from_edges(n, [(u, v), *edges(g)]), k)
                     and _keeps_k_paths(g.rows, k, u, v)):
                 got = None
         dia = diameter(g)
@@ -430,7 +428,6 @@ def test_dedup_collapses_orbits():
     g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     codes = set()
     from itertools import permutations
-    from oremax import relabel
     for perm in permutations(range(4)):
         codes.add(bit_code(relabel(g, perm)))
     out = dedup_canonical(4, list(codes))
