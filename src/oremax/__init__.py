@@ -6,8 +6,7 @@ exhaustive brute-force oracle that re-derives everything independently
 at desk scale.
 """
 
-from .errors import (BudgetError, CapacityError, Graph6ParseError,
-                     ParameterError)
+from .errors import CapacityError, Graph6ParseError, ParameterError
 from .extremal import (BlockMap, FamilyMemberSpec, FormulaMode, Parameters,
                        Side, attachment_cap, backbone_order, backbone_size,
                        build_backbone, build_family_member, enumerate_family,
@@ -23,7 +22,7 @@ from .metrics import (DISCONNECTED, ConnectivityResult, Disconnected,
 from .oracle import OracleReport, max_size_bruteforce, sweep, verify_theorem
 
 __all__ = [
-    "BlockMap", "BudgetError", "CANONICAL_MAX_ORDER", "CanonicalForm",
+    "BlockMap", "CANONICAL_MAX_ORDER", "CanonicalForm",
     "CapacityError", "ConnectivityResult", "DISCONNECTED", "Disconnected",
     "FamilyMemberSpec", "FormulaMode", "Graph", "Graph6ParseError",
     "LayerProfile", "MAX_ORDER", "OracleReport", "ParameterError",
@@ -37,4 +36,4 @@ __all__ = [
     "to_edge_list", "to_graph6", "verify_theorem", "vertex_connectivity",
 ]
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

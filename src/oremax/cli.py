@@ -2,8 +2,7 @@
 
 Line-oriented, deterministic output; JSON on request for the report
 commands.  Exit codes: 0 success, 1 usage error, 2 invalid parameters
-or malformed input, 3 verification mismatch, 4 capacity or budget
-exceeded.
+or malformed input, 3 verification mismatch, 4 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .errors import CapacityError, Graph6ParseError, ParameterError
-from .extremal import (FormulaMode, Parameters, _extremal, build_backbone,
-                       enumerate_family, max_size_formula)
+from .extremal import (FormulaMode, Parameters, _formula_sized,
+                       build_backbone, enumerate_family, max_size_formula)
 from .graphs import Graph, from_graph6, to_dot, to_edge_list, to_graph6
 from .metrics import DISCONNECTED, connectivity, diameter
 from .oracle import OracleReport, max_size_bruteforce, sweep, verify_theorem
@@ -164,7 +163,7 @@ def _check_row(line: str, k: int) -> str:
     g = from_graph6(line)
     dia = diameter(g)
     kappa = connectivity(g)
-    extremal = _extremal(g, k, dia, lambda: kappa >= k)
+    extremal = _formula_sized(g, k, dia) and kappa >= k
     dia_text = "disconnected" if dia is DISCONNECTED else str(dia)
     return (f"{to_graph6(g)}\t{g.order}\t{g.size}\t{dia_text}\t"
             f"{kappa}\t{_bool_text(extremal)}")

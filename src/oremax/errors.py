@@ -2,13 +2,8 @@
 
 
 class CapacityError(Exception):
-    """An input exceeds a hard size guard (vertex cap, search guard)."""
-
-
-class BudgetError(CapacityError):
-    """An exhaustive search would pass its budget of edge moves tried:
-    deletions on a climb down from K_n, additions on a climb up from the
-    trees."""
+    """An input exceeds a hard size guard: the vertex cap (62), the
+    canonical-form guard (10) or the search's order guard (8)."""
 
 
 class ParameterError(ValueError):

@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable
 
 from .errors import CapacityError, ParameterError
 from .graphs import (MAX_ORDER, Graph, canonical_form, check_canonical_order,
@@ -236,8 +235,8 @@ def enumerate_family(p: Parameters) -> list[Graph]:
     for spec in _candidate_specs(p):
         g, _ = build_family_member(p, spec)
         dia = diameter(g)
-        if dia == p.d and _extremal(g, p.k, dia,
-                                    lambda: is_k_connected(g, p.k)):
+        if (dia == p.d and _formula_sized(g, p.k, dia)
+                and is_k_connected(g, p.k)):
             seen.add(canonical_form(g).g6)
     return [from_graph6(text) for text in sorted(seen)]
 
@@ -252,18 +251,18 @@ def is_extremal(g: Graph, k: int) -> bool:
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
-    return g.order > 0 and _extremal(g, k, diameter(g),
-                                     lambda: is_k_connected(g, k))
+    return (g.order > 0 and _formula_sized(g, k, diameter(g))
+            and is_k_connected(g, k))
 
 
-def _extremal(g: Graph, k: int, dia: int | Disconnected,
-              k_connected: Callable[[], bool]) -> bool:
-    # is_extremal given g's diameter, for a caller that has it already;
-    # k_connected decides kappa >= k and runs only at the formula's size
+def _formula_sized(g: Graph, k: int, dia: int | Disconnected) -> bool:
+    # whether g, of diameter dia, has the CORRECTED maximum size for
+    # (order, k, dia); is_extremal less its kappa test, which its
+    # callers put after it so that kappa runs only at this size
     if dia is DISCONNECTED:
         return False
     try:
         p = Parameters(g.order, k, dia)
     except ParameterError:
         return False
-    return g.size == max_size_formula(p) and k_connected()
+    return g.size == max_size_formula(p)

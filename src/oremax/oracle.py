@@ -64,9 +64,9 @@ orbit.  Up to order 6 that test takes the minimum over the whole orbit
 8, where an orbit holds up to 40,320 codes, it recomputes the pruned
 ``canonical_form`` and compares.
 
-Everything is guarded: order 8, and a budget on edge moves (deletions
-or additions) that aborts loudly before a level instead of truncating
-silently.
+The search's one guard is order 8: past it, CapacityError before any
+work.  Inside it, the largest climbs, (8,1,4) and (8,2,4), try 16,330
+edge moves each.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from .errors import BudgetError, CapacityError
+from .errors import CapacityError
 from .extremal import (FormulaMode, Parameters, backbone_order,
                        enumerate_family, max_size_formula)
 from .graphs import (Graph, _certificate, bit_code, bits, canonical_form,
@@ -86,7 +86,6 @@ DEFAULT_ORDER_GUARD = 8
 #: up to this order (at most 6! = 720 codes) the post-check lists each
 #: maximizer's whole orbit; above it, it recomputes the canonical form
 _ORBIT_LIST_ORDER = 6
-DEFAULT_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -196,14 +195,11 @@ def _trees(n: int, d: int) -> list[tuple[int, ...]]:
     return trees
 
 
-def _climb(n: int, k: int, d: int, up: bool,
-           budget: int) -> tuple[int | None, list[str]]:
+def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
     """Walk the levels of one closure, one edge per level.
 
     Returns the maximum size and the sorted canonical graph6 strings of
-    the maximizers, or (None, []) if no graph qualifies.  ``budget``
-    caps the edge moves tried; a level that would pass it raises
-    BudgetError before any of its moves.
+    the maximizers, or (None, []) if no graph qualifies.
     """
     full = (1 << n) - 1
     if up:
@@ -216,7 +212,6 @@ def _climb(n: int, k: int, d: int, up: bool,
     # labelled graph -> its flood verdict and, down, the deleted edge
     verdicts = {rows: (_flood(rows, d, full), None) for rows in start}
     max_size, winners = None, []
-    moved = used = 0
 
     def classes(*hits):
         # the last labelled graph of each certificate, among the flood
@@ -250,17 +245,12 @@ def _climb(n: int, k: int, d: int, up: bool,
                              if k_connected(rows, edge)])
         if not level:
             break
-        moves = [(rows, _deletions(tuple(full ^ row ^ 1 << v for v, row
-                                         in enumerate(rows)) if up else rows))
-                 for rows in level]
-        moved += 1
         size += step
-        used += sum(len(edges) for _, edges in moves)
-        if used > budget:
-            raise BudgetError(f"level {moved} would push the climb past "
-                              f"{budget} edge moves")
         verdicts = {}
-        for rows, edges in moves:
+        for rows in level:
+            # up, the complement's deletions are the additions
+            edges = _deletions(tuple(full ^ row ^ 1 << v for v, row
+                                     in enumerate(rows)) if up else rows)
             for u, v in edges:
                 child = list(rows)
                 child[u] ^= 1 << v
@@ -275,22 +265,20 @@ def _climb(n: int, k: int, d: int, up: bool,
                             for rows in winners)
 
 
-def max_size_bruteforce(p: Parameters, *,
-                        budget: int = DEFAULT_BUDGET) -> OracleReport:
+def max_size_bruteforce(p: Parameters) -> OracleReport:
     """Exact maximum size and all maximizers up to isomorphism.
 
     Climbs up from the trees when d >= 4 and down from K_n otherwise.
-    ``budget`` caps the edge moves tried.  Each maximizer is checked
-    again before it is reported: its size, diameter and connectivity,
-    and that it is the least code of its orbit, by the minimum over
-    ``relabeling_codes`` up to order 6 and by its own canonical form
-    above.
+    Each maximizer is checked again before it is reported: its size,
+    diameter and connectivity, and that it is the least code of its
+    orbit, by the minimum over ``relabeling_codes`` up to order 6 and
+    by its own canonical form above.
     """
     if p.n > DEFAULT_ORDER_GUARD:
         raise CapacityError(
             f"order {p.n} exceeds search guard {DEFAULT_ORDER_GUARD}")
     start = time.perf_counter()
-    max_size, extremal = _climb(p.n, p.k, p.d, p.d >= 4, budget)
+    max_size, extremal = _climb(p.n, p.k, p.d, p.d >= 4)
     for text in extremal:
         g = from_graph6(text)
         # canonical: the least code of its orbit
@@ -305,8 +293,7 @@ def max_size_bruteforce(p: Parameters, *,
                         elapsed=time.perf_counter() - start)
 
 
-def verify_theorem(p: Parameters, *,
-                   budget: int = DEFAULT_BUDGET) -> OracleReport:
+def verify_theorem(p: Parameters) -> OracleReport:
     """Brute-force the instance and compare every made claim against it.
 
     corrected_match / paper_literal_match report formula agreement;
@@ -314,7 +301,7 @@ def verify_theorem(p: Parameters, *,
     maximizers coincide as sets of isomorphism classes.
     """
     start = time.perf_counter()
-    report = max_size_bruteforce(p, budget=budget)
+    report = max_size_bruteforce(p)
     family = {to_graph6(g) for g in enumerate_family(p)}
     return replace(
         report,
@@ -327,8 +314,8 @@ def verify_theorem(p: Parameters, *,
     )
 
 
-def sweep(n_max: int, k_max: int | None = None, d_max: int | None = None, *,
-          budget: int = DEFAULT_BUDGET) -> list[OracleReport]:
+def sweep(n_max: int, k_max: int | None = None,
+          d_max: int | None = None) -> list[OracleReport]:
     """verify_theorem over every valid instance within the bounds.
 
     Instances run in lexicographic (n, k, d) order; k_max and d_max
@@ -346,6 +333,5 @@ def sweep(n_max: int, k_max: int | None = None, d_max: int | None = None, *,
         for k in range(1, k_max + 1):
             for d in range(2, d_max + 1):
                 if n >= backbone_order(k, d):
-                    reports.append(verify_theorem(Parameters(n, k, d),
-                                                  budget=budget))
+                    reports.append(verify_theorem(Parameters(n, k, d)))
     return reports

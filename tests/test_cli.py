@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import oremax.cli
+import oremax.errors
 import oremax.graphs
 import oremax.metrics
 import oremax.oracle
@@ -411,7 +413,7 @@ def test_import_pulls_in_no_numpy():
 
 
 PUBLIC = [
-    "BlockMap", "BudgetError", "CANONICAL_MAX_ORDER", "CanonicalForm",
+    "BlockMap", "CANONICAL_MAX_ORDER", "CanonicalForm",
     "CapacityError", "ConnectivityResult", "DISCONNECTED", "Disconnected",
     "FamilyMemberSpec", "FormulaMode", "Graph", "Graph6ParseError",
     "LayerProfile", "MAX_ORDER", "OracleReport", "ParameterError",
@@ -429,6 +431,9 @@ PUBLIC = [
 REMOVED = ["add_edge", "empty_graph", "induced_subgraph", "is_clique",
            "relabel", "is_isomorphic", "_mask_from"]
 
+#: names that left in 0.3.0, with the oracle's edge-move budget
+REMOVED_BUDGET = ["BudgetError", "DEFAULT_BUDGET"]
+
 
 def test_public_surface_is_pinned():
     assert sorted(oremax.__all__) == PUBLIC
@@ -442,10 +447,16 @@ def test_public_surface_is_pinned():
     for method in ("vertices", "neighbors", "degree"):
         assert not hasattr(oremax.Graph, method), method
     assert not hasattr(oremax.LayerProfile, "reached")
+    for name in REMOVED_BUDGET:
+        for module in (oremax, oremax.errors, oremax.oracle):
+            assert not hasattr(module, name), (module.__name__, name)
+    for fn in (oremax.max_size_bruteforce, oremax.verify_theorem,
+               oremax.sweep):
+        assert "budget" not in inspect.signature(fn).parameters, fn
     # Python 3.10 has no tomllib, so the version line is read as text
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, re.M)
-    assert oremax.__version__ == version
+    assert oremax.__version__ == version == "0.3.0"
 
 
 def test_check_reads_a_non_utf8_stdin_byte_as_a_bad_line():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import oremax.extremal
 from bruteforce import is_isomorphic
 from oremax import (DISCONNECTED, CapacityError, FamilyMemberSpec,
                     FormulaMode, Graph, ParameterError, Parameters, Side,
@@ -409,6 +410,24 @@ def test_is_extremal_is_false_on_the_order_0_graph():
     assert not is_k_connected(from_edges(0, ()), 1)
     with pytest.raises(ParameterError):
         is_extremal(from_edges(0, ()), 0)
+
+
+def test_is_extremal_tests_kappa_only_at_the_formula_size(monkeypatch):
+    # a (6, 2, 3) maximizer less one edge, at diameter 3 still, is
+    # refused by its size before kappa runs
+    p = Parameters(6, 2, 3)
+    g = enumerate_family(p)[0]
+    short = next(h for u, v in combinations(range(6), 2) if g.rows[u] >> v & 1
+                 for h in [_flip(g, u, v)] if diameter(h) == 3)
+    assert short.size == max_size_formula(p) - 1
+
+    def no_kappa(*args):
+        raise AssertionError("kappa tested off the formula's size")
+
+    monkeypatch.setattr(oremax.extremal, "is_k_connected", no_kappa)
+    assert not is_extremal(short, 2)
+    with pytest.raises(AssertionError):
+        is_extremal(g, 2)
 
 
 def test_family_members_are_extremal():

@@ -52,6 +52,8 @@ def test_empty_graph_capacity():
         from_edges(63, ())
     with pytest.raises(ParameterError):
         from_edges(-1, ())
+    with pytest.raises(CapacityError):
+        to_graph6(Graph(63, (0,) * 63))
 
 
 def test_add_edge():
@@ -74,6 +76,8 @@ def test_graph_invariants_rejected():
         Graph(2, (0b110, 0b001))  # bit beyond order
     with pytest.raises(ParameterError):
         Graph(3, (0, 0))  # row count
+    with pytest.raises(ParameterError):
+        Graph(-1, ())  # negative order
 
 
 def test_size_examples():

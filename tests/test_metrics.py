@@ -73,6 +73,7 @@ def test_diameter_basics():
     t, _ = build_backbone(2, 3)
     assert diameter(t) == 3
     assert diameter(from_edges(2, ())) is DISCONNECTED
+    assert repr(DISCONNECTED) == "DISCONNECTED"
     with pytest.raises(ParameterError):
         diameter(from_edges(0, ()))
 
@@ -88,6 +89,8 @@ def test_is_connected():
     assert is_connected(k_n(1))
     assert is_connected(path(6))
     assert not is_connected(from_edges(3, [(0, 1)]))
+    with pytest.raises(ParameterError):
+        is_connected(from_edges(0, ()))
 
 
 # --- connectivity -----------------------------------------------------------
@@ -160,6 +163,8 @@ def test_vertex_connectivity_basics():
     assert vertex_connectivity(t).kappa == 3
     with pytest.raises(ParameterError):
         vertex_connectivity(from_edges(0, ()))
+    with pytest.raises(ParameterError):
+        connectivity(from_edges(0, ()))
 
 
 def test_vertex_connectivity_matches_brute_corpus():

@@ -9,15 +9,15 @@ from bruteforce import (brute_vertex_connectivity, candidate_ok, cells,
                         dedup_canonical, edges, fw_diameter, is_isomorphic,
                         keep_masks, labelled_search, random_graph,
                         ref_canonical_code, relabel, scan_level)
-from oremax import (DISCONNECTED, BudgetError, CapacityError, Parameters,
+from oremax import (DISCONNECTED, CapacityError, Parameters,
                     bfs_layers, canonical_form, diameter, enumerate_family,
                     from_graph6, is_k_connected, layer_structure_check,
                     max_size_bruteforce, sweep, to_graph6, verify_theorem)
 from oremax import oracle
 from oremax.graphs import (CanonicalForm, Graph, _certificate, bit_code,
                           from_bit_code, from_edges, relabeling_codes)
-from oremax.oracle import (DEFAULT_BUDGET, _climb, _deletions, _flood,
-                           _keeps_k_paths, _top_move, _trees)
+from oremax.oracle import (_climb, _deletions, _flood, _keeps_k_paths,
+                           _top_move, _trees)
 
 #: every (n, k, d) that ``sweep(7)`` verifies
 SWEEP_7 = [(n, k, d) for n in range(3, 8) for k in range(1, 8)
@@ -173,35 +173,36 @@ def test_extremal_lists_are_canonical_and_sorted():
 def test_guards():
     with pytest.raises(CapacityError):
         max_size_bruteforce(Parameters(9, 1, 2))
-    with pytest.raises(BudgetError):
-        max_size_bruteforce(Parameters(6, 2, 3), budget=10)
 
 
-def test_budget_counts_edge_deletions():
-    # (6,2,3) tries 82 edge deletions on alive classes over levels 1..5
-    r = max_size_bruteforce(Parameters(6, 2, 3), budget=82)
-    assert r.max_size == 10
-    with pytest.raises(BudgetError, match="level 5 "):
-        max_size_bruteforce(Parameters(6, 2, 3), budget=81)
+def test_climb_counts_edge_moves(monkeypatch):
+    # the edge moves that twin pruning leaves, before the
+    # canonical-deletion filter
+    tried = 0
 
+    def counting_deletions(rows):
+        nonlocal tried
+        edges = _deletions(rows)
+        tried += len(edges)
+        return edges
 
-def test_budget_counts_edge_additions_on_an_up_climb():
-    # (7,1,5) climbs up from its 3 trees of diameter >= 5 and tries 121
-    # edge additions over levels 1..3; level 3 holds no class
-    r = max_size_bruteforce(Parameters(7, 1, 5), budget=121)
-    assert (r.max_size, len(r.extremal)) == (8, 2)
-    with pytest.raises(BudgetError, match="level 3 "):
-        max_size_bruteforce(Parameters(7, 1, 5), budget=120)
-    with pytest.raises(BudgetError, match="level 1 .* 10 edge moves"):
-        max_size_bruteforce(Parameters(7, 1, 5), budget=10)
+    monkeypatch.setattr(oracle, "_deletions", counting_deletions)
+    # down: (6,2,3) deletes 82 edges of alive classes over levels 1..5
+    r = max_size_bruteforce(Parameters(6, 2, 3))
+    assert (r.max_size, tried) == (10, 82)
+    # up: (7,1,5) adds 121 edges to the classes grown from its 3 trees
+    # of diameter >= 5 over levels 1..3, and level 3 holds no class
+    tried = 0
+    r = max_size_bruteforce(Parameters(7, 1, 5))
+    assert (r.max_size, len(r.extremal), tried) == (8, 2, 121)
 
 
 def test_climb_direction_is_up_iff_d_at_least_4(monkeypatch):
     seen = []
 
-    def recording_climb(n, k, d, up, budget):
+    def recording_climb(n, k, d, up):
         seen.append((d, up))
-        return _climb(n, k, d, up, budget)
+        return _climb(n, k, d, up)
 
     monkeypatch.setattr(oracle, "_climb", recording_climb)
     for n, k, d in [(5, 1, 3), (5, 1, 4), (6, 2, 3), (6, 1, 4), (7, 1, 6),
@@ -219,7 +220,7 @@ def test_infeasible_search_path():
 
 def test_infeasible_climb():
     for up in (False, True):
-        assert _climb(3, 1, 3, up, budget=10**6) == (None, [])
+        assert _climb(3, 1, 3, up) == (None, [])
 
 
 def test_climb_matches_labelled_scan():
@@ -229,7 +230,7 @@ def test_climb_matches_labelled_scan():
         max_size, codes = labelled_search(n, k, d)
         want = max_size, dedup_canonical(n, codes)
         for up in (False, True):
-            assert _climb(n, k, d, up, budget=10**9) == want, (n, k, d, up)
+            assert _climb(n, k, d, up) == want, (n, k, d, up)
 
 
 def test_certificate_splits_climbed_graphs_like_canonical_form(monkeypatch):
@@ -247,7 +248,7 @@ def test_certificate_splits_climbed_graphs_like_canonical_form(monkeypatch):
     for n, k, d in SWEEP_7:
         depth = d
         for up in (False, True):
-            _climb(n, k, d, up, budget=10**9)
+            _climb(n, k, d, up)
     pairs = {((len(rows), _certificate(rows)),
               canonical_form(Graph(len(rows), rows))) for rows in visited}
     assert len({c for c, _ in pairs}) == len({f for _, f in pairs}) == len(pairs)
@@ -274,7 +275,7 @@ def test_climb_canonicalises_only_the_winners(monkeypatch):
     monkeypatch.setattr(oracle, "_flood", counting_alive)
     for up in (False, True):
         calls = exact = 0
-        max_size, extremal = _climb(7, 1, 5, up, DEFAULT_BUDGET)
+        max_size, extremal = _climb(7, 1, 5, up)
         assert (max_size, len(extremal)) == (8, 2)
         assert calls == len(extremal) <= exact < 100
 
@@ -295,7 +296,7 @@ def test_down_climb_tests_kappa_once_per_class(monkeypatch, k):
 
     monkeypatch.setattr(oracle, "_keeps_k_paths", recording_paths)
     monkeypatch.setattr(oracle, "is_k_connected", recording_kappa)
-    max_size, extremal = _climb(8, k, 3, False, DEFAULT_BUDGET)
+    max_size, extremal = _climb(8, k, 3, False)
     assert max_size is not None and extremal
     classes = [(sum(row.bit_count() for row in rows), _certificate(rows))
                for rows in tested]
@@ -356,7 +357,7 @@ def full_enumeration():
 def test_climb_matches_full_enumeration():
     for n, k, d, maximizers in full_enumeration():
         for up in (False, True):
-            max_size, extremal = _climb(n, k, d, up, budget=10**9)
+            max_size, extremal = _climb(n, k, d, up)
             assert max_size == maximizers[0].size, (n, k, d, up)
             assert {bit_code(from_graph6(t)) for t in extremal} == {
                 ref_canonical_code(g) for g in maximizers}
@@ -385,7 +386,7 @@ def test_climb_levels_hold_every_class(monkeypatch):
         for k, d in [(k, d) for order, k, d in SWEEP_7 if order == n]:
             for up in (False, True):
                 certified.clear()
-                max_size, _ = _climb(n, k, d, up, budget=10**9)
+                max_size, _ = _climb(n, k, d, up)
                 top = -1 if max_size is None else max_size
                 for size in range(comb(n, 2) + 1):
                     got = certified.get((n, size), set())
