@@ -175,26 +175,45 @@ def test_guards():
         max_size_bruteforce(Parameters(9, 1, 2))
 
 
-def test_climb_counts_edge_moves(monkeypatch):
-    # the edge moves that twin pruning leaves, before the
-    # canonical-deletion filter
-    tried = 0
+def counting_moves(monkeypatch, n, up):
+    # edge moves per level that twin pruning leaves, before the
+    # canonical-deletion filter; level i holds the graphs i edge moves
+    # from K_n (down) or from the trees (up)
+    top = n * (n - 1) // 2
+    tried = {}
 
     def counting_deletions(rows):
-        nonlocal tried
         edges = _deletions(rows)
-        tried += len(edges)
+        # a graph of size m is level top - m down; up, the climb hands
+        # over the complement, of a graph of size top - m at level
+        # top - m - (n - 1).  Its moves make the next level.
+        m = sum(row.bit_count() for row in rows) // 2
+        level = (top - m - (n - 1) if up else top - m) + 1
+        tried[level] = tried.get(level, 0) + len(edges)
         return edges
 
     monkeypatch.setattr(oracle, "_deletions", counting_deletions)
-    # down: (6,2,3) deletes 82 edges of alive classes over levels 1..5
+    return tried
+
+
+def test_budget_counts_edge_deletions(monkeypatch):
+    # the edge moves the removed budget counted: (6,2,3) deletes 82
+    # edges of alive classes over levels 1..5
+    tried = counting_moves(monkeypatch, 6, False)
     r = max_size_bruteforce(Parameters(6, 2, 3))
-    assert (r.max_size, tried) == (10, 82)
-    # up: (7,1,5) adds 121 edges to the classes grown from its 3 trees
-    # of diameter >= 5 over levels 1..3, and level 3 holds no class
-    tried = 0
+    assert r.max_size == 10
+    assert tried == {1: 1, 2: 2, 3: 8, 4: 23, 5: 48}
+    assert sum(tried.values()) == 82
+
+
+def test_budget_counts_edge_additions_on_an_up_climb(monkeypatch):
+    # (7,1,5) climbs up from its 3 trees of diameter >= 5 and adds 121
+    # edges over levels 1..3; level 3 holds no class
+    tried = counting_moves(monkeypatch, 7, True)
     r = max_size_bruteforce(Parameters(7, 1, 5))
-    assert (r.max_size, len(r.extremal), tried) == (8, 2, 121)
+    assert (r.max_size, len(r.extremal)) == (8, 2)
+    assert tried == {1: 41, 2: 60, 3: 20}
+    assert sum(tried.values()) == 121
 
 
 def test_climb_direction_is_up_iff_d_at_least_4(monkeypatch):
