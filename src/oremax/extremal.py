@@ -18,18 +18,19 @@ cap * multiplier where cap is the per-vertex attachment bound:
   overshoots, even past the complete graph.
 
 ``is_extremal`` tests the definition: diameter d, connectivity at least
-k, and the CORRECTED maximum size, at any order up to 62.  Family
-generation is validate-by-computation: every syntactically valid
-window/side assignment is built, then kept only if it has diameter
-exactly d and ``is_extremal`` holds.  Window positions that fall short
-of the cap (for example windows touching a pole when k >= 2 and d >= 4)
-are thereby dropped without any case analysis.
+k, and the CORRECTED maximum size, at any order up to 62.  The family
+follows the proof: BFS layers of sizes (n_0, ..., n_d) from a vertex of
+eccentricity d allow at most sum C(n_i, 2) + sum n_i * n_{i+1} edges,
+reached only by the complete layered graph L(n_0, ..., n_d).  So each
+member is some L(1, n_1, ..., n_{d-1}, 1) with every n_i >= k, and
+``enumerate_family`` keeps the L(v) for which ``is_extremal`` holds.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
 from .errors import CapacityError, ParameterError
@@ -211,32 +212,26 @@ def build_family_member(p: Parameters,
     return Graph(p.n, layered_rows(layers)), bmap
 
 
-def _candidate_specs(p: Parameters):
-    r = p.outside_count
-    for start in range(1, p.d):
-        yield FamilyMemberSpec(start, 3, (Side.FIRST_THREE,) * r)
-    if r >= 2:
-        for start in range(1, p.d - 1):
-            for c in range(1, r):
-                sides = (Side.FIRST_THREE,) * c + (Side.LAST_THREE,) * (r - c)
-                yield FamilyMemberSpec(start, 4, sides)
-
-
 def enumerate_family(p: Parameters) -> list[Graph]:
-    """All graphs attaining the CORRECTED maximum, via window candidates.
+    """All graphs attaining the CORRECTED maximum, from layer splits.
 
-    Builds every window/side assignment, keeps those with diameter
-    exactly d for which ``is_extremal``'s test holds (given that
-    diameter, computed once per candidate), and returns one canonically
-    relabelled graph per isomorphism class, sorted by canonical encoding.
+    Splits the n - 2 vertices between the two poles into d - 1
+    consecutive layers of at least k vertices each, builds the complete
+    layered graph L(1, n_1, ..., n_{d-1}, 1) once for each split and
+    its reversal, keeps those for which ``is_extremal`` holds, and
+    returns one canonically relabelled graph per isomorphism class,
+    sorted by canonical encoding.
     """
     check_canonical_order(p.n)
     seen: set[str] = set()
-    for spec in _candidate_specs(p):
-        g, _ = build_family_member(p, spec)
-        dia = diameter(g)
-        if (dia == p.d and _formula_sized(g, p.k, dia)
-                and is_k_connected(g, p.k)):
+    for inner in combinations(range(2, p.n - 1), p.d - 2):
+        cuts = (0, 1, *inner, p.n - 1, p.n)
+        sizes = [b - a for a, b in zip(cuts, cuts[1:])]
+        if min(sizes[1:-1]) < p.k or sizes > sizes[::-1]:
+            continue
+        masks = [(1 << b) - (1 << a) for a, b in zip(cuts, cuts[1:])]
+        g = Graph(p.n, layered_rows(masks))
+        if is_extremal(g, p.k):
             seen.add(canonical_form(g).g6)
     return [from_graph6(text) for text in sorted(seen)]
 

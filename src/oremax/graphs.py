@@ -421,7 +421,8 @@ def from_graph6(text: str | bytes) -> Graph:
         raise Graph6ParseError("multi-byte order not supported (order > 62)", base)
     order = first - 63
     if not 0 <= order <= MAX_ORDER:
-        raise Graph6ParseError(f"invalid order byte {text[0]!r}", base)
+        raise Graph6ParseError("non-ASCII byte" if text[0] > "\x7f" else
+                               f"invalid order byte {text[0]!r}", base)
     n_cells = order * (order - 1) // 2
     need = (n_cells + 5) // 6
     data = text[1:]
@@ -436,7 +437,8 @@ def from_graph6(text: str | bytes) -> Graph:
     for ofs, ch in enumerate(data):
         group = ord(ch) - 63
         if not 0 <= group < 64:
-            raise Graph6ParseError(f"byte {ch!r} outside graph6 range",
+            raise Graph6ParseError("non-ASCII byte" if ch > "\x7f" else
+                                   f"byte {ch!r} outside graph6 range",
                                    base + 1 + ofs)
         code = code << 6 | group
     pad = 6 * need - n_cells

@@ -7,7 +7,9 @@ individualisation-refinement tree with no pruning for the certificate,
 networkx for isomorphism, and the labelled scan over every complement
 of each size for the oracle's maximum and maximizers.  They share no
 code with the package beyond building a graph from its edge list, so
-disagreements mean real bugs.
+disagreements mean real bugs.  ``candidate_specs`` lists the window
+specs of the package's ``build_family_member``, the one constructor
+left that takes them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from itertools import combinations, permutations
 
 import networkx as nx
 
-from oremax import DISCONNECTED, Graph, from_edges, to_graph6
+from oremax import (DISCONNECTED, FamilyMemberSpec, Graph, Parameters, Side,
+                    from_edges, to_graph6)
 
 INF = float("inf")
 
@@ -74,6 +77,19 @@ def ref_layered_graph(layers: list[list[int]]) -> Graph:
     edges += [(u, v) for here, there in zip(layers, layers[1:])
               for u in here for v in there]
     return from_edges(sum(map(len, layers)), edges)
+
+
+def candidate_specs(p: Parameters):
+    """Every 3-block window, and every 4-block window with both sides
+    taken, whose blocks lie on the backbone of ``p``."""
+    r = p.outside_count
+    for start in range(1, p.d):
+        yield FamilyMemberSpec(start, 3, (Side.FIRST_THREE,) * r)
+    if r >= 2:
+        for start in range(1, p.d - 1):
+            for c in range(1, r):
+                sides = (Side.FIRST_THREE,) * c + (Side.LAST_THREE,) * (r - c)
+                yield FamilyMemberSpec(start, 4, sides)
 
 
 def ref_layer_structure(g: Graph, x: int, y: int, k: int) -> bool:

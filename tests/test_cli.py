@@ -14,6 +14,7 @@ import oremax.errors
 import oremax.graphs
 import oremax.metrics
 import oremax.oracle
+from bruteforce import candidate_specs
 from oremax import (Parameters, bits, build_backbone, build_family_member,
                     connectivity, from_edges, from_graph6, max_size_formula,
                     to_graph6)
@@ -258,9 +259,8 @@ def test_check_rows_an_order_11_path_with_no_flow(capsys, monkeypatch):
 @pytest.mark.parametrize("n, k, d", [(30, 2, 5), (62, 4, 6), (62, 1, 20)])
 def test_check_rows_a_family_member_past_order_10(capsys, monkeypatch,
                                                   n, k, d):
-    from oremax.extremal import _candidate_specs
     p = Parameters(n, k, d)
-    members = (build_family_member(p, spec)[0] for spec in _candidate_specs(p))
+    members = (build_family_member(p, spec)[0] for spec in candidate_specs(p))
     g = next(g for g in members if g.size == max_size_formula(p))
     text = to_graph6(g)
     monkeypatch.setattr("sys.stdin",
@@ -465,7 +465,8 @@ def test_check_reads_a_non_utf8_stdin_byte_as_a_bad_line():
                    PYTHONIOENCODING="utf-8:strict")
     assert done.returncode == 2, done.stderr
     assert len(done.stdout.splitlines()) == 3  # header and two rows
-    assert done.stderr.startswith("oremax: error: line 2: ")
+    assert done.stderr == \
+        "oremax: error: line 2: non-ASCII byte (byte offset 0)\n"
 
 
 # each call reads the previous call's stdout as stdin; only check uses it

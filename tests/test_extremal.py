@@ -1,12 +1,13 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
 import pytest
 
 import oremax.extremal
-from bruteforce import is_isomorphic
+from bruteforce import (brute_vertex_connectivity, candidate_specs,
+                        fw_diameter, is_isomorphic, ref_layered_graph)
 from oremax import (DISCONNECTED, CapacityError, FamilyMemberSpec,
                     FormulaMode, Graph, ParameterError, Parameters, Side,
                     attachment_cap, backbone_order, backbone_size,
@@ -234,12 +235,11 @@ def member_from_edges(k, d, spec):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_family_member_rows_exact(k):
-    from oremax.extremal import _candidate_specs
     split_sides = set()
     for d in range(2, 7):
         for r in range(4):
             p = Parameters(backbone_order(k, d) + r, k, d)
-            for spec in _candidate_specs(p):
+            for spec in candidate_specs(p):
                 g, _ = build_family_member(p, spec)
                 assert g.rows == member_from_edges(k, d, spec).rows, spec
                 if spec.window_len == 4:
@@ -303,7 +303,6 @@ def test_enumerate_family_members_are_valid():
 def test_family_matches_the_committed_table():
     # tests/data/family10.tsv: the members of every valid instance with
     # n <= 10, one row each, in enumerate_family's order
-    from oremax.extremal import _candidate_specs
     lines = (Path(__file__).parent / "data" / "family10.tsv").read_text() \
         .splitlines()
     assert lines[0] == "n\tk\td\tgraph6"
@@ -319,7 +318,7 @@ def test_family_matches_the_committed_table():
         assert [to_graph6(g) for g in enumerate_family(p)] == members
         # the raw constructions of formula size are the family already
         built = (build_family_member(p, spec)[0]
-                 for spec in _candidate_specs(p))
+                 for spec in candidate_specs(p))
         assert {canonical_form(g).g6 for g in built
                 if g.size == max_size_formula(p)} == set(members), (n, k, d)
 
@@ -331,30 +330,67 @@ def test_enumerate_family_guard():
 @pytest.mark.parametrize("n, k, d", [(10, 1, 5), (10, 2, 3), (9, 2, 4)])
 def test_enumerate_family_runs_one_diameter_per_candidate(monkeypatch,
                                                           n, k, d):
-    # the exact-d pin and the extremal test share one diameter
-    import oremax.extremal
-    from oremax.extremal import _candidate_specs
+    # one L(1, n_1, ..., n_{d-1}, 1) per split with every n_i >= k, one
+    # of each mirror pair, and one diameter (is_extremal's) per split
+    built = []
     calls = 0
+    rows_of = oremax.extremal.layered_rows
+
+    def recording_rows(masks):
+        built.append(tuple(m.bit_count() for m in masks))
+        return rows_of(masks)
 
     def counting_diameter(g):
         nonlocal calls
         calls += 1
         return diameter(g)
 
+    monkeypatch.setattr(oremax.extremal, "layered_rows", recording_rows)
     monkeypatch.setattr(oremax.extremal, "diameter", counting_diameter)
-    p = Parameters(n, k, d)
-    assert enumerate_family(p)
-    assert calls == len(list(_candidate_specs(p)))
+    assert enumerate_family(Parameters(n, k, d))
+    inner = (v for v in product(range(k, n - 1), repeat=d - 1)
+             if sum(v) == n - 2)
+    expected = [w for w in ((1, *v, 1) for v in inner) if w <= w[::-1]]
+    assert sorted(built) == expected
+    assert calls == len(expected) == {(10, 1, 5): 19, (10, 2, 3): 3,
+                                      (9, 2, 4): 2}[n, k, d]
+
+
+def test_family_is_every_formula_sized_layering():
+    # complete layered graphs on d + 1 nonempty layers of any sizes, the
+    # poles' layers included: those the slow references call extremal
+    # are the family, so fixing the end layers at 1 and the inner ones
+    # at >= k loses no class
+    found = {}
+    for n in range(3, 11):
+        for d in range(2, n):
+            for cuts in combinations(range(1, n), d):
+                bounds = (0, *cuts, n)
+                g = ref_layered_graph([list(range(a, b))
+                                       for a, b in zip(bounds, bounds[1:])])
+                for k in range(1, n):
+                    if backbone_order(k, d) > n:
+                        break
+                    if (g.size == max_size_formula(Parameters(n, k, d))
+                            and fw_diameter(g) == d
+                            and brute_vertex_connectivity(g) >= k):
+                        found.setdefault((n, k, d), set()).add(
+                            canonical_form(g).g6)
+    valid = [(n, k, d) for n in range(11) for k in range(1, n)
+             for d in range(2, n) if backbone_order(k, d) <= n]
+    assert len(valid) == 77
+    for n, k, d in valid:
+        family = enumerate_family(Parameters(n, k, d))
+        assert found[n, k, d] == {to_graph6(g) for g in family}, (n, k, d)
 
 
 def test_candidate_windows_respect_caps():
     # whatever enumeration keeps, the raw constructions already bound
     # each outside vertex by the cap and by three consecutive blocks
-    from oremax.extremal import _candidate_specs
     for (n, k, d) in KNOWN_SIZES:
         p = Parameters(n, k, d)
         cap = attachment_cap(k, d)
-        for spec in _candidate_specs(p):
+        for spec in candidate_specs(p):
             g, bm = build_family_member(p, spec)
             t_order = backbone_order(k, d)
             t_mask = (1 << t_order) - 1
@@ -485,9 +521,8 @@ def test_is_extremal_equals_family_membership():
 
 @pytest.mark.parametrize("n, k, d", [(30, 2, 5), (62, 4, 6), (62, 1, 20)])
 def test_is_extremal_past_order_10(n, k, d):
-    from oremax.extremal import _candidate_specs
     p = Parameters(n, k, d)
-    members = (build_family_member(p, spec)[0] for spec in _candidate_specs(p))
+    members = (build_family_member(p, spec)[0] for spec in candidate_specs(p))
     g = next(g for g in members if g.size == max_size_formula(p))
     assert is_extremal(g, k)
     assert not is_extremal(g, k + 1)

@@ -515,6 +515,11 @@ def test_graph6_parse_errors():
         ("Bx", "non-zero padding bits", 1),  # three padding bits, last set
         (chr(127) + "x", "invalid order byte '\\x7f'", 0),
         (b"A\xff", "non-ASCII byte", 1),
+        # text reports past-ASCII characters as bytes input does
+        ("A\xff", "non-ASCII byte", 1),
+        ("\udcff", "non-ASCII byte", 0),  # 0xff read with surrogateescape
+        (">>graph6<<B\x80", "non-ASCII byte", 11),
+        (chr(128) + "x", "non-ASCII byte", 0),
         (line62[:100] + chr(127) + line62[101:],
          "byte '\\x7f' outside graph6 range", 100),
     ]
