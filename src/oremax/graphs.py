@@ -34,8 +34,10 @@ layer a clique joined to the layers on either side) from its layer
 masks, and :func:`_refine` splits an ordered partition into cells until
 it is equitable.  On that refinement :func:`_certificate` builds the
 oracle's private isomorphism certificate, which only dedups the climb's
-levels: every printed form is still the least code from
-:func:`canonical_form`.
+levels, and only the graphs of a level whose cheap invariant
+:func:`_invariant` (the sorted degree and neighbour-degree-sum pairs)
+another graph of that level shares: every printed form is still the
+least code from :func:`canonical_form`.
 """
 
 from __future__ import annotations
@@ -383,6 +385,23 @@ def _certificate(rows: Sequence[int]) -> int:
     return least([(1 << len(rows)) - 1])
 
 
+def _invariant(rows: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """A cheap isomorphism invariant: the sorted pairs (deg v, sum of
+    the degrees of v's neighbours).  Isomorphic graphs share it, so a
+    graph whose invariant no other graph in a set has is in a class of
+    its own there, with no :func:`_certificate` needed."""
+    degree = [row.bit_count() for row in rows]
+    # the vertices of each degree, to sum a neighbourhood's degrees by
+    # one popcount per distinct degree
+    by_degree: dict[int, int] = {}
+    for v, dv in enumerate(degree):
+        by_degree[dv] = by_degree.get(dv, 0) | 1 << v
+    return tuple(sorted(
+        (dv, sum(du * (row & mask).bit_count()
+                 for du, mask in by_degree.items()))
+        for dv, row in zip(degree, rows)))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -410,6 +429,10 @@ def from_graph6(text: str | bytes) -> Graph:
             text = text.decode("ascii")
         except UnicodeDecodeError as exc:
             raise Graph6ParseError("non-ASCII byte", exc.start) from None
+    elif not text.isascii():
+        # the first character past ASCII, where decoding bytes stops
+        raise Graph6ParseError("non-ASCII byte", next(
+            ofs for ofs, ch in enumerate(text) if ch > "\x7f"))
     base = 0
     if text.startswith(_GRAPH6_HEADER):
         base = len(_GRAPH6_HEADER)
@@ -421,8 +444,7 @@ def from_graph6(text: str | bytes) -> Graph:
         raise Graph6ParseError("multi-byte order not supported (order > 62)", base)
     order = first - 63
     if not 0 <= order <= MAX_ORDER:
-        raise Graph6ParseError("non-ASCII byte" if text[0] > "\x7f" else
-                               f"invalid order byte {text[0]!r}", base)
+        raise Graph6ParseError(f"invalid order byte {text[0]!r}", base)
     n_cells = order * (order - 1) // 2
     need = (n_cells + 5) // 6
     data = text[1:]
@@ -437,8 +459,7 @@ def from_graph6(text: str | bytes) -> Graph:
     for ofs, ch in enumerate(data):
         group = ord(ch) - 63
         if not 0 <= group < 64:
-            raise Graph6ParseError("non-ASCII byte" if ch > "\x7f" else
-                                   f"byte {ch!r} outside graph6 range",
+            raise Graph6ParseError(f"byte {ch!r} outside graph6 range",
                                    base + 1 + ofs)
         code = code << 6 | group
     pad = 6 * need - n_cells

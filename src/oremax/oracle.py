@@ -43,10 +43,15 @@ carries the top key.
 
 Each child kept gets one screen, a depth-d flood from every vertex
 that tells a diameter below, at or above d.  The children it keeps are
-deduped by the partition-refinement certificate
-``graphs._certificate``, and connectivity >= k is then tested once per
-class.  Down, every parent is alive, and a k-connected G less an edge
-uv is k-connected iff it still has k internally disjoint u-v paths
+deduped first by a cheap invariant, ``graphs._invariant``, the sorted
+pairs (deg v, sum of the degrees of v's neighbours).  A child whose
+invariant no other child of its level shares is a class of its own;
+only the rest pay for the partition-refinement certificate
+``graphs._certificate`` (the order of work in McKay & Piperno,
+"Practical graph isomorphism II", J. Symb. Comput. 60, 2014).
+Connectivity >= k is then tested once per class.  Down, every parent
+is alive, and a k-connected G less an edge uv is k-connected iff it
+still has k internally disjoint u-v paths
 (Menger): a separator S of G - uv with |S| < k does not separate G, so
 uv joins two components of (G - uv) - S, and S separates u from v.  So
 one u-v flow, capped at k, decides each class, by the edge that made
@@ -72,14 +77,15 @@ edge moves each.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .errors import CapacityError
 from .extremal import (FormulaMode, Parameters, backbone_order,
                        enumerate_family, max_size_formula)
-from .graphs import (Graph, _certificate, bit_code, bits, canonical_form,
-                     from_graph6, layered_rows, lower_twins, reach,
-                     relabeling_codes, to_graph6)
+from .graphs import (Graph, _certificate, _invariant, bit_code, bits,
+                     canonical_form, from_graph6, layered_rows, lower_twins,
+                     reach, relabeling_codes, to_graph6)
 from .metrics import _augment, diameter, is_k_connected
 
 DEFAULT_ORDER_GUARD = 8
@@ -214,11 +220,14 @@ def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
     max_size, winners = None, []
 
     def classes(*hits):
-        # the last labelled graph of each certificate, among the flood
-        # verdicts ``hits``, with its deleted edge and verdict
-        return {_certificate(rows): (rows, edge, hit)
-                for rows, (hit, edge) in verdicts.items()
-                if hit in hits}.values()
+        # the last labelled graph of each class, among the flood
+        # verdicts ``hits``, with its deleted edge and verdict; a graph
+        # is certified only if another one shares its invariant
+        graphs = [(_invariant(rows), rows, edge, hit)
+                  for rows, (hit, edge) in verdicts.items() if hit in hits]
+        shared = Counter(key for key, *_ in graphs)
+        return {(key, _certificate(rows) if shared[key] > 1 else None):
+                (rows, edge, hit) for key, rows, edge, hit in graphs}.values()
 
     def k_connected(rows, edge):
         # kappa >= k; every graph that passed the flood is connected

@@ -469,6 +469,19 @@ def test_check_reads_a_non_utf8_stdin_byte_as_a_bad_line():
         "oremax: error: line 2: non-ASCII byte (byte offset 0)\n"
 
 
+def test_check_reports_the_first_non_ascii_byte_of_a_long_line():
+    # A and two 0xff bytes: one data byte too many, but the bad byte
+    # comes first, as from_graph6 reports it on bytes input
+    done = _python("-m", "oremax", "check", "--k", "1",
+                   stdin="A\udcff\udcff\n",
+                   PYTHONIOENCODING="utf-8:strict")
+    assert done.returncode == 2, done.stderr
+    assert done.stdout.splitlines() == [
+        "graph6\torder\tsize\tdiameter\tkappa\textremal"]
+    assert done.stderr == \
+        "oremax: error: line 1: non-ASCII byte (byte offset 1)\n"
+
+
 # each call reads the previous call's stdout as stdin; only check uses it
 REUSE_SEQUENCE = [
     ["family", "--n", "9", "--k", "2", "--d", "3", "--bogus"],

@@ -520,6 +520,11 @@ def test_graph6_parse_errors():
         ("\udcff", "non-ASCII byte", 0),  # 0xff read with surrogateescape
         (">>graph6<<B\x80", "non-ASCII byte", 11),
         (chr(128) + "x", "non-ASCII byte", 0),
+        # the first byte past ASCII is reported before the length check
+        ("A\xff\xff", "non-ASCII byte", 1),
+        (b"A\xff\xff", "non-ASCII byte", 1),
+        ("C\xffxx", "non-ASCII byte", 1),
+        (b"C\xffxx", "non-ASCII byte", 1),
         (line62[:100] + chr(127) + line62[101:],
          "byte '\\x7f' outside graph6 range", 100),
     ]

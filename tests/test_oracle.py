@@ -14,8 +14,9 @@ from oremax import (DISCONNECTED, CapacityError, Parameters,
                     from_graph6, is_k_connected, layer_structure_check,
                     max_size_bruteforce, sweep, to_graph6, verify_theorem)
 from oremax import oracle
-from oremax.graphs import (CanonicalForm, Graph, _certificate, bit_code,
-                          from_bit_code, from_edges, relabeling_codes)
+from oremax.graphs import (CanonicalForm, Graph, _certificate, _invariant,
+                          bit_code, from_bit_code, from_edges,
+                          relabeling_codes)
 from oremax.oracle import (_climb, _deletions, _flood, _keeps_k_paths,
                            _top_move, _trees)
 
@@ -323,6 +324,63 @@ def test_down_climb_tests_kappa_once_per_class(monkeypatch, k):
     assert len(set(classes)) == len(classes)
 
 
+def test_invariant_ignores_labels():
+    rng = random.Random(1998)
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(3, 11), rng.random())
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        assert _invariant(relabel(g, perm).rows) == _invariant(g.rows)
+
+
+def climb_parents(monkeypatch, n, k, d, up):
+    """The climb's result and the labelled parents it hands to
+    ``_deletions``, in order."""
+    parents = []
+
+    def recording_deletions(rows):
+        parents.append(rows)
+        return _deletions(rows)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_deletions", recording_deletions)
+        return _climb(n, k, d, up), parents
+
+
+def test_invariant_gate_keeps_the_parent_sequence(monkeypatch):
+    # with every invariant equal, every graph of a level is certified,
+    # as before the gate; the classes, their order and their labelled
+    # representatives must not change
+    climbs = [(n, k, d, up) for n, k, d in SWEEP_7 for up in (False, True)]
+    climbs += [(8, 2, 3, False), (8, 3, 2, False)]
+    gated = [climb_parents(monkeypatch, *climb) for climb in climbs]
+    monkeypatch.setattr(oracle, "_invariant", lambda rows: ())
+    for climb, want in zip(climbs, gated):
+        assert climb_parents(monkeypatch, *climb) == want, climb
+
+
+@pytest.mark.parametrize("n, certified", [
+    (6, {11: 2}),
+    (8, {22: 27, 23: 8, 24: 2}),
+])
+def test_certificates_only_where_invariants_collide(monkeypatch, n,
+                                                    certified):
+    # (6,2,3) certified 20 graphs and (8,2,3) 123 before the invariant
+    # gate; now only those whose invariant another graph of their level
+    # shares, counted by size
+    counted = {}
+
+    def counting_certificate(rows):
+        m = sum(row.bit_count() for row in rows) // 2
+        counted[m] = counted.get(m, 0) + 1
+        return _certificate(rows)
+
+    monkeypatch.setattr(oracle, "_certificate", counting_certificate)
+    r = max_size_bruteforce(Parameters(n, 2, 3))
+    assert r.max_size == {6: 10, 8: 21}[n]
+    assert counted == certified
+
+
 def test_post_check_rejects_labelled_maximizers(monkeypatch):
     # a climb that reports its winners in their own labelling is caught
     # by the canonicity check: by the orbit list on (6,1,4) up and
@@ -383,19 +441,21 @@ def test_climb_matches_full_enumeration():
 
 
 def test_climb_levels_hold_every_class(monkeypatch):
-    # each level's certified classes against every labelled graph of
-    # order <= 6, deduped by orbit listing: up, the connected classes of
-    # diameter >= d; down, the alive ones above the answer level and the
-    # maximizers at it, once the classes with kappa < k are set aside
+    # each level's classes against every labelled graph of order <= 6,
+    # deduped by orbit listing: up, the connected classes of diameter
+    # >= d; down, the alive ones above the answer level and the
+    # maximizers at it, once the classes with kappa < k are set aside.
+    # The level dedup takes the invariant of every graph it is handed,
+    # and certifies only those whose invariant another one shares
     certified = {}
 
-    def recording_certificate(rows):
+    def recording_invariant(rows):
         g = Graph(len(rows), rows)
         certified.setdefault((g.order, g.size), set()).add(
             canonical_form(g).g6)
-        return _certificate(rows)
+        return _invariant(rows)
 
-    monkeypatch.setattr(oracle, "_certificate", recording_certificate)
+    monkeypatch.setattr(oracle, "_invariant", recording_invariant)
     for n in range(3, 7):
         table = {}
         for text in dedup_canonical(n, list(range(1 << comb(n, 2)))):
