@@ -33,11 +33,11 @@ test, :func:`layered_rows` writes the complete layered graph (each
 layer a clique joined to the layers on either side) from its layer
 masks, and :func:`_refine` splits an ordered partition into cells until
 it is equitable.  On that refinement :func:`_certificate` builds the
-oracle's private isomorphism certificate, which only dedups the climb's
-levels, and only the graphs of a level whose cheap invariant
-:func:`_invariant` (the sorted degree and neighbour-degree-sum pairs)
-another graph of that level shares: every printed form is still the
-least code from :func:`canonical_form`.
+oracle's private isomorphism certificate, which only dedups the
+climb's tree seeds and levels, and only the graphs of one such list
+whose cheap invariant :func:`_invariant` (the sorted degree and
+neighbour-degree-sum pairs) another graph of that list shares: every
+printed form is still the least code from :func:`canonical_form`.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        # a list would leave the graph unhashable and open to writes
+        object.__setattr__(self, "rows", tuple(self.rows))
         if self.order < 0:
             raise ParameterError("order must be non-negative")
         if len(self.rows) != self.order:

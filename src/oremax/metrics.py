@@ -15,7 +15,8 @@ starts from the minimum degree delta, takes a vertex v of that degree,
 and tries v against each non-neighbour and then each non-adjacent pair
 of v's neighbours, at most (n - 1 - delta) + C(delta, 2) flows.
 ``connectivity`` and ``is_k_connected`` cap each flow at the best value
-so far; ``is_k_connected`` stops at the first value below k.
+so far; ``is_k_connected`` starts that value at k and asks whether
+min(kappa, k) is k.
 ``vertex_connectivity`` caps each at one more than the best, so every
 pair that reads the final kappa is read exactly: the same pass yields
 kappa and the tight flows, the pairs whose flow is exactly kappa.  It
@@ -209,19 +210,16 @@ def _pairs(rows: Sequence[int], keep: int) -> Iterator[tuple[int, int]]:
         ((a, b) for a in bits(near) for b in bits(near & ~rows[a] & -2 << a)))
 
 
-def _kappa(g: Graph, cap: int, exact: bool = True) -> int:
+def _kappa(g: Graph, cap: int) -> int:
     # min(kappa, cap), with kappa(K_n) = n - 1; no flow exceeds the
     # minimum degree or order - 1.  One BFS settles best <= 1 with no
     # flow (no separator is empty); past that, the pairs decide.
-    # Without ``exact``, stop once best < cap.
     best = min(cap, g.order - 1, *(row.bit_count() for row in g.rows))
     if best > 0 and not is_connected(g):
         return 0
     if best <= 1:
         return best
     for s, t in _pairs(g.rows, (1 << g.order) - 1):
-        if best < cap and not exact:
-            break
         # values above the running minimum cannot matter
         best = min(best, local_connectivity(g, s, t, limit=best))
     return best
@@ -335,7 +333,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     """True iff order > k and every separator has at least k vertices."""
     if k < 1:
         raise ParameterError("connectivity level must be at least 1")
-    return _kappa(g, k, exact=False) == k
+    return _kappa(g, k) == k
 
 
 def layer_structure_check(g: Graph, x: int, y: int, k: int) -> bool:

@@ -48,7 +48,9 @@ pairs (deg v, sum of the degrees of v's neighbours).  A child whose
 invariant no other child of its level shares is a class of its own;
 only the rest pay for the partition-refinement certificate
 ``graphs._certificate`` (the order of work in McKay & Piperno,
-"Practical graph isomorphism II", J. Symb. Comput. 60, 2014).
+"Practical graph isomorphism II", J. Symb. Comput. 60, 2014).  The
+trees that seed the up climb share this dedup, ``_classes``, one order
+at a time.
 Connectivity >= k is then tested once per class.  Down, every parent
 is alive, and a k-connected G less an edge uv is k-connected iff it
 still has k internally disjoint u-v paths
@@ -181,23 +183,34 @@ def _deletions(rows: tuple[int, ...]) -> list[tuple[int, int]]:
             if not earlier[u] and earlier[v] in (0, 1 << u)]
 
 
+def _classes(graphs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The last graph of each isomorphism class in ``graphs``, in the
+    order the classes are first met.  A graph is certified only if
+    another graph of the list shares its invariant."""
+    keys = [_invariant(rows) for rows in graphs]
+    shared = Counter(keys)
+    return list({(key, _certificate(rows) if shared[key] > 1 else None): rows
+                 for key, rows in zip(keys, graphs)}.values())
+
+
 def _trees(n: int, d: int) -> list[tuple[int, ...]]:
     """One labelled tree per isomorphism class of order n and diameter
     >= d, for 1 <= d < n.  Each holds a path on d + 1 vertices and is
     grown from it leaf by leaf: vertex m joins one vertex of each twin
-    class of every tree of order m."""
+    class of every tree of order m, and each order is deduped by
+    ``_classes``."""
     # the path: a complete layered graph with one vertex per layer
     trees = [layered_rows([1 << v for v in range(d + 1)])]
     for m in range(d + 1, n):
-        grown = {}
+        grown = []
         for rows in trees:
             earlier = lower_twins(rows)
             for u in range(m):
                 if not earlier[u]:
                     child = [*rows, 1 << u]
                     child[u] |= 1 << m
-                    grown[_certificate(child)] = tuple(child)
-        trees = list(grown.values())
+                    grown.append(tuple(child))
+        trees = _classes(grown)
     return trees
 
 
@@ -220,14 +233,10 @@ def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
     max_size, winners = None, []
 
     def classes(*hits):
-        # the last labelled graph of each class, among the flood
-        # verdicts ``hits``, with its deleted edge and verdict; a graph
-        # is certified only if another one shares its invariant
-        graphs = [(_invariant(rows), rows, edge, hit)
-                  for rows, (hit, edge) in verdicts.items() if hit in hits]
-        shared = Counter(key for key, *_ in graphs)
-        return {(key, _certificate(rows) if shared[key] > 1 else None):
-                (rows, edge, hit) for key, rows, edge, hit in graphs}.values()
+        # one labelled graph per class among the flood verdicts
+        # ``hits``, with its verdict and deleted edge
+        return [(rows, verdicts[rows]) for rows in _classes(
+            [rows for rows, (hit, _) in verdicts.items() if hit in hits])]
 
     def k_connected(rows, edge):
         # kappa >= k; every graph that passed the flood is connected
@@ -242,15 +251,15 @@ def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
         # canonical form.  Up, a level holds every class of diameter
         # >= d; down, the alive classes, all of diameter below d.
         kept = {rows: hit and k_connected(rows, edge)
-                for rows, edge, hit in (classes(True, None) if up
-                                          else classes(True))}
+                for rows, (hit, edge) in (classes(True, None) if up
+                                            else classes(True))}
         found = [rows for rows, ok in kept.items() if ok]
         if found:
             max_size, winners = size, found
             if not up:
                 break
         level = ([*found, *(rows for rows, ok in kept.items() if not ok)]
-                 if up else [rows for rows, edge, _ in classes(False)
+                 if up else [rows for rows, (_, edge) in classes(False)
                              if k_connected(rows, edge)])
         if not level:
             break

@@ -80,6 +80,18 @@ def test_graph_invariants_rejected():
         Graph(-1, ())  # negative order
 
 
+def test_graph_keeps_list_rows_as_a_tuple():
+    # a list of rows is copied: the graph stays hashable, equal to its
+    # tuple form, and deaf to later writes to the caller's list
+    rows = [0b10, 0b01]
+    g = Graph(2, rows)
+    assert g.rows == (0b10, 0b01)
+    assert g == Graph(2, (0b10, 0b01))
+    assert hash(g) == hash(Graph(2, (0b10, 0b01)))
+    rows[0] = 0
+    assert g.rows == (0b10, 0b01) and g.size == 1
+
+
 def test_size_examples():
     assert k_n(4).size == 6
     assert from_edges(5, ()).size == 0

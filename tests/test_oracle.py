@@ -127,7 +127,7 @@ def test_twin_deletions_reach_every_child_class():
 
 def test_trees_one_per_class():
     # against networkx's trees, sorted by diameter
-    for n in range(2, 9):
+    for n in range(2, 10):
         diameters = [nx.diameter(t) for t in nx.nonisomorphic_trees(n)]
         for d in range(1, n):
             trees = _trees(n, d)
@@ -378,6 +378,26 @@ def test_certificates_only_where_invariants_collide(monkeypatch, n,
     monkeypatch.setattr(oracle, "_certificate", counting_certificate)
     r = max_size_bruteforce(Parameters(n, 2, 3))
     assert r.max_size == {6: 10, 8: 21}[n]
+    assert counted == certified
+
+
+@pytest.mark.parametrize("n, d, certified", [
+    (8, 4, {6: 4, 7: 13, 8: 46}),
+    (8, 5, {7: 6, 8: 15}),
+])
+def test_tree_certificates_only_where_invariants_collide(monkeypatch, n, d,
+                                                         certified):
+    # the tree seeds share the levels' dedup: (8,4) certified 71 trees
+    # and (8,5) 26 when every grown tree was certified; now only those
+    # whose invariant another tree of their order shares, counted by order
+    counted = {}
+
+    def counting_certificate(rows):
+        counted[len(rows)] = counted.get(len(rows), 0) + 1
+        return _certificate(rows)
+
+    monkeypatch.setattr(oracle, "_certificate", counting_certificate)
+    _trees(n, d)
     assert counted == certified
 
 
