@@ -2,20 +2,22 @@
 
 BFS layer profiles, diameter with a typed sentinel for disconnected
 graphs (one depth-capped flood per vertex, the cap raised until it
-covers the graph), ``layer_structure_check`` (is the graph the complete
-layered graph on its BFS layers, as :func:`oremax.graphs.layered_rows`
-writes it), and vertex connectivity by Menger's theorem: the maximum
-number of internally disjoint paths between a non-adjacent pair equals
-the minimum separator size.  Each pair is a unit-capacity max flow on
-the vertex-split digraph, found by augmenting paths that step along the
-adjacency bitmask rows of the vertices in a mask.  Every connectivity
-function walks Esfahanian & Hakimi's pairs: one BFS rules out a
-disconnected graph and settles kappa <= 1 with no flow; past that it
-starts from the minimum degree delta, takes a vertex v of that degree,
-and tries v against each non-neighbour and then each non-adjacent pair
-of v's neighbours, at most (n - 1 - delta) + C(delta, 2) flows.
-``connectivity`` and ``is_k_connected`` cap each flow at the best value
-so far; ``is_k_connected`` starts that value at k and asks whether
+covers the graph: ``_diameter``, the ratchet the oracle's screen runs
+from d - 1 with cap d), ``layer_structure_check`` (is the graph the
+complete layered graph on its BFS layers, as
+:func:`oremax.graphs.layered_rows` writes it), and vertex connectivity
+by Menger's theorem: the maximum number of internally disjoint paths
+between a non-adjacent pair equals the minimum separator size.  Each
+pair is a unit-capacity max flow on the vertex-split digraph, found by
+augmenting paths that step along the adjacency bitmask rows of the
+vertices in a mask.  Every connectivity function walks Esfahanian &
+Hakimi's pairs: one BFS rules out a disconnected graph and settles
+kappa <= 1 with no flow; past that it starts from the minimum degree
+delta, takes a vertex v of that degree, and tries v against each
+non-neighbour and then each non-adjacent pair of v's neighbours, at
+most (n - 1 - delta) + C(delta, 2) flows.  ``connectivity`` and
+``is_k_connected`` cap each flow at the best value so far;
+``is_k_connected`` starts that value at k and asks whether
 min(kappa, k) is k.
 ``vertex_connectivity`` caps each at one more than the best, so every
 pair that reads the final kappa is read exactly: the same pass yields
@@ -115,20 +117,26 @@ def is_connected(g: Graph) -> bool:
     return reach(g.rows, 1)[0] == (1 << g.order) - 1
 
 
+def _diameter(rows: Sequence[int], best: int, cap: int) -> int | None:
+    # max(best, diameter), or None once that would pass ``cap`` (as it
+    # does for a disconnected graph); best <= cap.  The flood from v at
+    # depth best misses a vertex iff v's eccentricity exceeds best.
+    full = (1 << len(rows)) - 1
+    for v in range(len(rows)):
+        while reach(rows, 1 << v, depth=best)[0] != full:
+            best += 1
+            if best > cap:
+                return None
+    return best
+
+
 def diameter(g: Graph) -> int | Disconnected:
     """Greatest distance between two vertices, or DISCONNECTED."""
     if g.order == 0:
         raise ParameterError("diameter undefined for order-0 graph")
     if not is_connected(g):
         return DISCONNECTED
-    # the flood from v at depth best misses a vertex iff v's
-    # eccentricity exceeds best
-    full = (1 << g.order) - 1
-    best = 0
-    for v in range(g.order):
-        while reach(g.rows, 1 << v, depth=best)[0] != full:
-            best += 1
-    return best
+    return _diameter(g.rows, 0, g.order - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ runs in one of two directions:
 
 Sparse instances are cheap up and dense ones down.  Either way the
 maximizers are the winning classes of the answer level.  Swapping twins
-is an automorphism, and twins of a graph are twins of its complement,
-so one edge per pair of twin classes is deleted or added.
+is an automorphism, so one edge per pair of twin classes is deleted, or
+one non-edge added, read straight off the graph's rows.
 
 Most labelled children are copies of a class met before, so a
 canonical-deletion test (McKay, "Isomorph-free exhaustive generation",
@@ -41,16 +41,16 @@ is in the previous level, whose representative makes a copy of X by
 the move that corresponds to e, or by a twin of it, and that move
 carries the top key.
 
-Each child kept gets one screen, a depth-d flood from every vertex
-that tells a diameter below, at or above d.  The children it keeps are
-deduped first by a cheap invariant, ``graphs._invariant``, the sorted
-pairs (deg v, sum of the degrees of v's neighbours).  A child whose
-invariant no other child of its level shares is a class of its own;
-only the rest pay for the partition-refinement certificate
-``graphs._certificate`` (the order of work in McKay & Piperno,
-"Practical graph isomorphism II", J. Symb. Comput. 60, 2014).  The
-trees that seed the up climb share this dedup, ``_classes``, one order
-at a time.
+Each child kept gets one screen, ``metrics``' diameter ratchet run from
+d - 1 and capped at d, which tells a diameter below, at or above d.
+The children it keeps are deduped first by a cheap invariant,
+``graphs._invariant``, the sorted pairs (deg v, sum of the degrees of
+v's neighbours).  A child whose invariant no other child of its level
+shares is a class of its own; only the rest pay for the
+partition-refinement certificate ``graphs._certificate`` (the order of
+work in McKay & Piperno, "Practical graph isomorphism II", J. Symb.
+Comput. 60, 2014).  The trees that seed the up climb share this dedup,
+``_classes``, one order at a time.
 Connectivity >= k is then tested once per class.  Down, every parent
 is alive, and a k-connected G less an edge uv is k-connected iff it
 still has k internally disjoint u-v paths
@@ -59,7 +59,7 @@ uv joins two components of (G - uv) - S, and S separates u from v.  So
 one u-v flow, capped at k, decides each class, by the edge that made
 its representative.  Adding an edge gives no such lemma, so up,
 ``metrics.is_k_connected`` tests the classes of diameter exactly d and
-no others.  At k = 1 the flood settles it: every graph it keeps is
+no others.  At k = 1 the screen settles it: every graph it keeps is
 connected.  Only the maximizers, one per class, get a canonical form.
 
 The tests referee both directions with a labelled scan of their own,
@@ -88,7 +88,7 @@ from .extremal import (FormulaMode, Parameters, backbone_order,
 from .graphs import (Graph, _certificate, _invariant, bit_code, bits,
                      canonical_form, from_graph6, layered_rows, lower_twins,
                      reach, relabeling_codes, to_graph6)
-from .metrics import _augment, diameter, is_k_connected
+from .metrics import _augment, _diameter, diameter, is_k_connected
 
 DEFAULT_ORDER_GUARD = 8
 #: up to this order (at most 6! = 720 codes) the post-check lists each
@@ -128,16 +128,11 @@ class OracleReport:
         }
 
 
-def _flood(rows: tuple[int, ...], d: int, full: int) -> bool | None:
-    """The climbs' one screen, a depth-d flood from each vertex: None
-    if the diameter is above d, else whether it is exactly d."""
-    exact = False
-    for v in range(len(rows)):
-        reached, at_d = reach(rows, 1 << v, depth=d)
-        if reached != full:
-            return None
-        exact = exact or bool(at_d)
-    return exact
+def _flood(rows: tuple[int, ...], d: int) -> bool | None:
+    """The climbs' one screen, the diameter ratchet from d - 1 capped
+    at d: None if the diameter is above d, else whether it is exactly d."""
+    best = _diameter(rows, d - 1, d)
+    return None if best is None else best == d
 
 
 def _keeps_k_paths(rows: tuple[int, ...], k: int, u: int, v: int) -> bool:
@@ -167,19 +162,19 @@ def _top_move(rows: tuple[int, ...], u: int, v: int, up: bool) -> bool:
     return True
 
 
-def _deletions(rows: tuple[int, ...]) -> list[tuple[int, int]]:
-    """One edge per pair of twin classes joined by an edge.
+def _deletions(rows: tuple[int, ...], up: bool) -> list[tuple[int, int]]:
+    """One edge (down) or non-edge (up) of ``rows`` per pair of twin
+    classes joined by one.
 
     Twins have equal neighbourhoods apart from each other, so swapping
-    two is an automorphism: every edge between two classes, or inside
-    one, is deleted to the same child up to isomorphism.  The edge kept
-    joins the least vertices of the two classes, or the two least of
-    one class.  Twins of a graph are twins of its complement, so on the
-    complement's rows this gives one addition per pair of twin classes.
+    two is an automorphism: every such pair between two classes, or
+    inside one, is moved to the same child up to isomorphism.  The pair
+    kept joins the least vertices of the two classes, or the two least
+    of one class.
     """
     earlier = lower_twins(rows)
     return [(u, v) for v in range(len(rows))
-            for u in bits(rows[v] & ((1 << v) - 1))
+            for u in bits((~rows[v] if up else rows[v]) & ((1 << v) - 1))
             if not earlier[u] and earlier[v] in (0, 1 << u)]
 
 
@@ -220,16 +215,16 @@ def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
     Returns the maximum size and the sorted canonical graph6 strings of
     the maximizers, or (None, []) if no graph qualifies.
     """
-    full = (1 << n) - 1
     if up:
         start = _trees(n, d) if d < n else []
         size, step = n - 1, 1
     else:
         # K_n is alive iff n - 1 >= k
+        full = (1 << n) - 1
         start = [tuple(full ^ 1 << v for v in range(n))] if n > k else []
         size, step = n * (n - 1) // 2, -1
     # labelled graph -> its flood verdict and, down, the deleted edge
-    verdicts = {rows: (_flood(rows, d, full), None) for rows in start}
+    verdicts = {rows: (_flood(rows, d), None) for rows in start}
     max_size, winners = None, []
 
     def classes(*hits):
@@ -266,10 +261,7 @@ def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
         size += step
         verdicts = {}
         for rows in level:
-            # up, the complement's deletions are the additions
-            edges = _deletions(tuple(full ^ row ^ 1 << v for v, row
-                                     in enumerate(rows)) if up else rows)
-            for u, v in edges:
+            for u, v in _deletions(rows, up):
                 child = list(rows)
                 child[u] ^= 1 << v
                 child[v] ^= 1 << u
@@ -277,7 +269,7 @@ def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
                 # a child the filter drops is not stored: a later copy
                 # of it may have moved its top-key pair
                 if child not in verdicts and _top_move(child, u, v, up):
-                    verdicts[child] = (_flood(child, d, full),
+                    verdicts[child] = (_flood(child, d),
                                        None if up else (u, v))
     return max_size, sorted(canonical_form(Graph(n, rows)).g6
                             for rows in winners)

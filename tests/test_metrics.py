@@ -85,6 +85,29 @@ def test_diameter_matches_floyd_warshall_corpus():
         assert diameter(g) == fw_diameter(g)
 
 
+def test_diameter_ratchet_matches_floyd_warshall():
+    # the ratchet ``diameter`` and the oracle's screen share: from a
+    # floor best, max(best, diameter) while that is at most cap, else None
+    rng = random.Random(2203)
+    seen = set()
+    for _ in range(2500):
+        n = rng.randrange(1, 11)
+        g = random_graph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.8, 0.95]))
+        cap = rng.randrange(n + 1)
+        best = rng.randrange(cap + 1)
+        dia = fw_diameter(g)
+        if dia is DISCONNECTED:
+            want, case = None, "disconnected"
+        elif max(best, dia) > cap:
+            want, case = None, "over cap"
+        else:
+            want, case = max(best, dia), "floor" if best > dia else "diameter"
+        assert metrics._diameter(g.rows, best, cap) == want, (
+            to_graph6(g), best, cap)
+        seen.add(case)
+    assert seen == {"disconnected", "over cap", "floor", "diameter"}
+
+
 def test_is_connected():
     assert is_connected(k_n(1))
     assert is_connected(path(6))

@@ -51,14 +51,14 @@ def test_alive_screen_equals_public_invariants():
         g = random_graph(rng, n, rng.random())
         k = rng.randrange(1, min(3, n - 1) + 1)
         d = rng.randrange(2, 5)
-        got = _flood(g.rows, d, (1 << n) - 1)
+        got = _flood(g.rows, d)
         missing = [e for e in cells(n) if not g.has_edge(*e)]
         if got is not None and missing:
             u, v = missing[0]
             if not (is_k_connected(from_edges(n, [(u, v), *edges(g)]), k)
                     and _keeps_k_paths(g.rows, k, u, v)):
                 got = None
-        dia = diameter(g)
+        dia = fw_diameter(g)
         if dia is DISCONNECTED or dia > d or not is_k_connected(g, k):
             assert got is None, (to_graph6(g), k, d)
         else:
@@ -74,10 +74,10 @@ def test_far_screen_equals_public_invariants():
         g = random_graph(rng, n, rng.random())
         k = rng.randrange(1, min(3, n - 1) + 1)
         d = rng.randrange(2, 6)
-        exact = _flood(g.rows, d, (1 << n) - 1)
+        exact = _flood(g.rows, d)
         got = None if exact is False else (
             exact is True and is_k_connected(g, k))
-        dia = diameter(g)
+        dia = fw_diameter(g)
         if dia is not DISCONNECTED and dia < d:
             assert got is None, (to_graph6(g), k, d)
         else:
@@ -106,23 +106,25 @@ def test_edge_lemma_matches_brute_connectivity():
 
 
 def test_twin_deletions_reach_every_child_class():
-    # one edge per pair of twin classes gives the same child classes as
-    # deleting every edge
-    rng = random.Random(1618)
-    for _ in range(150):
-        n = rng.randrange(3, 8)
-        g = random_graph(rng, n, rng.choice([0.5, 0.8, 0.95]))
+    # one edge (down) or non-edge (up) per pair of twin classes gives the
+    # same child classes as deleting every edge or adding every non-edge
+    for up, densities in ((False, [0.5, 0.8, 0.95]), (True, [0.05, 0.2, 0.5])):
+        rng = random.Random(1618)
+        for _ in range(150):
+            n = rng.randrange(3, 8)
+            g = random_graph(rng, n, rng.choice(densities))
 
-        def child(u, v):
-            return canonical_form(from_edges(
-                n, [e for e in cells(n)
-                    if g.has_edge(*e) and e != (u, v)]))
+            def child(u, v):
+                # g with the pair uv toggled
+                return canonical_form(from_edges(
+                    n, [e for e in cells(n)
+                        if g.has_edge(*e) != (e == (u, v))]))
 
-        edges = [e for e in cells(n) if g.has_edge(*e)]
-        kept = _deletions(g.rows)
-        assert set(kept) <= set(edges)
-        assert {child(u, v) for u, v in kept} == {
-            child(u, v) for u, v in edges}, to_graph6(g)
+            movable = [e for e in cells(n) if g.has_edge(*e) != up]
+            kept = _deletions(g.rows, up)
+            assert set(kept) <= set(movable)
+            assert {child(u, v) for u, v in kept} == {
+                child(u, v) for u, v in movable}, (to_graph6(g), up)
 
 
 def test_trees_one_per_class():
@@ -176,20 +178,19 @@ def test_guards():
         max_size_bruteforce(Parameters(9, 1, 2))
 
 
-def counting_moves(monkeypatch, n, up):
+def counting_moves(monkeypatch, n):
     # edge moves per level that twin pruning leaves, before the
     # canonical-deletion filter; level i holds the graphs i edge moves
     # from K_n (down) or from the trees (up)
     top = n * (n - 1) // 2
     tried = {}
 
-    def counting_deletions(rows):
-        edges = _deletions(rows)
-        # a graph of size m is level top - m down; up, the climb hands
-        # over the complement, of a graph of size top - m at level
-        # top - m - (n - 1).  Its moves make the next level.
+    def counting_deletions(rows, up):
+        edges = _deletions(rows, up)
+        # a graph of size m is level top - m down and m - (n - 1) up.
+        # Its moves make the next level.
         m = sum(row.bit_count() for row in rows) // 2
-        level = (top - m - (n - 1) if up else top - m) + 1
+        level = (m - (n - 1) if up else top - m) + 1
         tried[level] = tried.get(level, 0) + len(edges)
         return edges
 
@@ -200,7 +201,7 @@ def counting_moves(monkeypatch, n, up):
 def test_budget_counts_edge_deletions(monkeypatch):
     # the edge moves the removed budget counted: (6,2,3) deletes 82
     # edges of alive classes over levels 1..5
-    tried = counting_moves(monkeypatch, 6, False)
+    tried = counting_moves(monkeypatch, 6)
     r = max_size_bruteforce(Parameters(6, 2, 3))
     assert r.max_size == 10
     assert tried == {1: 1, 2: 2, 3: 8, 4: 23, 5: 48}
@@ -210,7 +211,7 @@ def test_budget_counts_edge_deletions(monkeypatch):
 def test_budget_counts_edge_additions_on_an_up_climb(monkeypatch):
     # (7,1,5) climbs up from its 3 trees of diameter >= 5 and adds 121
     # edges over levels 1..3; level 3 holds no class
-    tried = counting_moves(monkeypatch, 7, True)
+    tried = counting_moves(monkeypatch, 7)
     r = max_size_bruteforce(Parameters(7, 1, 5))
     assert (r.max_size, len(r.extremal)) == (8, 2)
     assert tried == {1: 41, 2: 60, 3: 20}
@@ -260,7 +261,7 @@ def test_certificate_splits_climbed_graphs_like_canonical_form(monkeypatch):
     depth = 0
 
     def recording_top_move(rows, *args):
-        if _flood(rows, depth, (1 << len(rows)) - 1) is not None:
+        if _flood(rows, depth) is not None:
             visited.add(rows)
         return _top_move(rows, *args)
 
@@ -338,9 +339,9 @@ def climb_parents(monkeypatch, n, k, d, up):
     ``_deletions``, in order."""
     parents = []
 
-    def recording_deletions(rows):
+    def recording_deletions(rows, up):
         parents.append(rows)
-        return _deletions(rows)
+        return _deletions(rows, up)
 
     with monkeypatch.context() as m:
         m.setattr(oracle, "_deletions", recording_deletions)
