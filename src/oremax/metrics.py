@@ -1,21 +1,24 @@
 """Distance and connectivity invariants.
 
 BFS layer profiles, diameter with a typed sentinel for disconnected
-graphs (one depth-capped flood per vertex, the cap raised until it
-covers the graph: ``_diameter``, the ratchet the oracle's screen runs
-from d - 1 with cap d), ``layer_structure_check`` (is the graph the
-complete layered graph on its BFS layers, as
-:func:`oremax.graphs.layered_rows` writes it), and vertex connectivity
-by Menger's theorem: the maximum number of internally disjoint paths
-between a non-adjacent pair equals the minimum separator size.  Each
-pair is a unit-capacity max flow on the vertex-split digraph, found by
-augmenting paths that step along the adjacency bitmask rows of the
-vertices in a mask.  Every connectivity function walks Esfahanian &
-Hakimi's pairs: one BFS rules out a disconnected graph and settles
-kappa <= 1 with no flow; past that it starts from the minimum degree
-delta, takes a vertex v of that degree, and tries v against each
-non-neighbour and then each non-adjacent pair of v's neighbours, at
-most (n - 1 - delta) + C(delta, 2) flows.  ``connectivity`` and
+graphs (one depth-capped flood per vertex, taken one layer further each
+time the cap is raised until it covers the graph; a flood that dies
+short of it finds the graph disconnected: ``_diameter``, the ratchet
+the oracle's screen runs from d - 1 with cap d),
+``layer_structure_check`` (is the graph the complete layered graph on
+its BFS layers, as :func:`oremax.graphs.layered_rows` writes it), and
+vertex connectivity by Menger's theorem: the maximum number of
+internally disjoint paths between a non-adjacent pair equals the
+minimum separator size.  Each pair is a unit-capacity max flow on the
+vertex-split digraph: ``_flow`` loads the path s-w-t through each
+common neighbour w, then augmenting paths that step along the
+adjacency bitmask rows of the vertices in a mask find the rest.
+Every connectivity function walks Esfahanian & Hakimi's pairs: one BFS
+rules out a disconnected graph and settles kappa <= 1 with no flow;
+past that it starts from the minimum degree delta, takes a vertex v of
+that degree, and tries v against each non-neighbour and then each
+non-adjacent pair of v's neighbours, at most (n - 1 - delta) +
+C(delta, 2) flows.  ``connectivity`` and
 ``is_k_connected`` cap each flow at the best value so far;
 ``is_k_connected`` starts that value at k and asks whether
 min(kappa, k) is k.
@@ -28,11 +31,12 @@ lies in a minimum cut of G minus the vertices chosen so far.  While
 that graph's connectivity c + 1 is at least 3, one set of tight flows
 on its vertex mask decides every candidate; G's own serve the first
 position.  Every minimum cut is a minimum s-t cut of a tight pair, and
-v lies in one iff the s-t flow drops when v goes (Picard & Queyranne):
-unloading v's path and one augmenting search settle that.  Cut vertices
-settle the last two positions.  Every other traversal over adjacency
-rows is a call to :func:`oremax.graphs.reach` or
-:func:`oremax.graphs.cut_vertices`.
+v lies in one iff the s-t flow drops when v goes (Picard & Queyranne).
+A tight flow is kept as its bare ``pred`` list; only a candidate loaded
+on it has its one path traced and unloaded, and then one augmenting
+search settles that.  Cut vertices settle the last two positions.
+Every other traversal over adjacency rows is a call to
+:func:`oremax.graphs.reach` or :func:`oremax.graphs.cut_vertices`.
 """
 
 from __future__ import annotations
@@ -118,15 +122,19 @@ def is_connected(g: Graph) -> bool:
 
 
 def _diameter(rows: Sequence[int], best: int, cap: int) -> int | None:
-    # max(best, diameter), or None once that would pass ``cap`` (as it
-    # does for a disconnected graph); best <= cap.  The flood from v at
-    # depth best misses a vertex iff v's eccentricity exceeds best.
+    # max(best, diameter), or None once that would pass ``cap`` or a
+    # flood dies short of the graph; best <= cap.  The flood from v at
+    # depth best misses a vertex iff v's eccentricity exceeds best, and
+    # each raise of best takes that flood one layer further.
     full = (1 << len(rows)) - 1
     for v in range(len(rows)):
-        while reach(rows, 1 << v, depth=best)[0] != full:
-            best += 1
-            if best > cap:
+        reached, frontier = reach(rows, 1 << v, depth=best)
+        while reached != full:
+            if not frontier or best == cap:
                 return None
+            best += 1
+            frontier = reach(rows, frontier, ~reached, 1)[1]
+            reached |= frontier
     return best
 
 
@@ -134,9 +142,8 @@ def diameter(g: Graph) -> int | Disconnected:
     """Greatest distance between two vertices, or DISCONNECTED."""
     if g.order == 0:
         raise ParameterError("diameter undefined for order-0 graph")
-    if not is_connected(g):
-        return DISCONNECTED
-    return _diameter(g.rows, 0, g.order - 1)
+    dia = _diameter(g.rows, 0, g.order - 1)
+    return DISCONNECTED if dia is None else dia
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +194,22 @@ def _augment(rows: Sequence[int], keep: int, s: int, t: int,
     return flow
 
 
+def _flow(rows: Sequence[int], keep: int, s: int, t: int,
+          limit: int) -> tuple[int, list[int]]:
+    # A fresh s-t flow inside ``keep`` capped at ``limit``, as (value,
+    # pred).  Each common neighbour w of s and t in ``keep`` is loaded
+    # as the path s-w-t first, and ``_augment`` finds the rest.
+    pred = list(range(len(rows)))
+    common = rows[s] & rows[t] & keep
+    flow = 0
+    while common and flow < limit:
+        low = common & -common
+        pred[low.bit_length() - 1] = s
+        common ^= low
+        flow += 1
+    return _augment(rows, keep, s, t, pred, flow, limit), pred
+
+
 def local_connectivity(g: Graph, s: int, t: int, *,
                        limit: int | None = None) -> int:
     """Maximum number of internally vertex-disjoint s-t paths.
@@ -201,8 +224,8 @@ def local_connectivity(g: Graph, s: int, t: int, *,
         raise ParameterError("endpoints must be distinct")
     if g.has_edge(s, t):
         raise ParameterError("endpoints must be non-adjacent")
-    return _augment(g.rows, (1 << g.order) - 1, s, t, list(range(g.order)),
-                    0, g.order if limit is None else limit)
+    return _flow(g.rows, (1 << g.order) - 1, s, t,
+                 g.order if limit is None else limit)[0]
 
 
 def _pairs(rows: Sequence[int], keep: int) -> Iterator[tuple[int, int]]:
@@ -234,59 +257,55 @@ def _kappa(g: Graph, cap: int) -> int:
 
 
 def _tight_flows(rows: Sequence[int], keep: int, cap: int
-                 ) -> tuple[int, list[tuple[int, int, list[int], list[int]]]]:
+                 ) -> tuple[int, list[tuple[int, int, list[int], int]]]:
     # (min(kappa, cap), tight) for G[keep], with kappa(K_n) = n - 1.
     # Each pair's flow is capped at best + 1, so it reads its exact
     # value whenever that is at most best: a pair is kept iff its flow
     # is exactly the final best, and a lower reading restarts the list.
-    # ``tight`` holds (s, t, flow, paths) for the kept pairs; ``paths``
-    # holds the vertex masks of the flow's paths without their ends.
+    # ``tight`` holds (s, t, pred, flow) for the kept pairs.
     best = min(cap, keep.bit_count() - 1,
                *((rows[v] & keep).bit_count() for v in bits(keep)))
-    kept = []
-    for s, t in _pairs(rows, keep):
-        pred = list(range(len(rows)))
-        flow = _augment(rows, keep, s, t, pred, 0, best + 1)
-        if flow < best:
-            best, kept = flow, []
-        if flow == best:
-            kept.append((s, t, pred))
     tight = []
-    for s, t, pred in kept:
-        after = {u: v for v, u in enumerate(pred) if u not in (v, s)}
-        paths = []
-        for v in (v for v, u in enumerate(pred) if u == s != v):
-            path = 0
-            while v is not None:
-                path |= 1 << v
-                v = after.get(v)
-            paths.append(path)
-        tight.append((s, t, pred, paths))
+    for s, t in _pairs(rows, keep):
+        flow, pred = _flow(rows, keep, s, t, best + 1)
+        if flow < best:
+            best, tight = flow, []
+        if flow == best:
+            tight.append((s, t, pred, flow))
     return best, tight
 
 
 def _in_min_cut(rows: Sequence[int], keep: int, pick: int,
-                tight: list[tuple[int, int, list[int], list[int]]]) -> bool:
+                tight: list[tuple[int, int, list[int], int]]) -> bool:
     # True iff the vertex ``pick`` (a one-bit mask) lies in a minimum
     # cut of G[keep].  Every minimum cut is a minimum s-t cut of some
     # tight pair, and v lies in one iff G[keep] - v carries one s-t
     # path fewer (Picard & Queyranne): so iff v is on a path, and once
-    # that path is unloaded one search in G[keep] - v finds none.
-    for s, t, pred, paths in tight:
-        path = next((path for path in paths if path & pick), 0)
-        if path:
-            rest = pred[:]
-            for u in bits(path):
-                rest[u] = u
-            kappa = len(paths)
-            if _augment(rows, keep ^ pick, s, t, rest, kappa - 1,
-                        kappa) < kappa:
-                return True
+    # that path is unloaded one search in G[keep] - v finds none.  The
+    # path runs back from v along pred to s and on through each
+    # successor, the u whose pred is the vertex before it; a unit that
+    # only circles back to v is on no path.
+    v = pick.bit_length() - 1
+    for s, t, pred, kappa in tight:
+        if pred[v] == v:
+            continue
+        rest = pred[:]
+        u = v
+        while rest[u] != u:
+            rest[u], u = u, rest[u]
+        if u != s:
+            continue
+        u = v
+        while u in pred:
+            u = pred.index(u)
+            rest[u] = u
+        if _augment(rows, keep ^ pick, s, t, rest, kappa - 1, kappa) < kappa:
+            return True
     return False
 
 
 def _lex_min_cut(rows: Sequence[int], kappa: int,
-                 tight: list[tuple[int, int, list[int], list[int]]]) -> int:
+                 tight: list[tuple[int, int, list[int], int]]) -> int:
     # One vertex at a time, least first: the next is the least v above
     # the last for which some minimum cut holds the vertices chosen so
     # far and v, that is, v lies in a minimum cut of G[keep], G minus

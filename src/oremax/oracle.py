@@ -88,7 +88,7 @@ from .extremal import (FormulaMode, Parameters, backbone_order,
 from .graphs import (Graph, _certificate, _invariant, bit_code, bits,
                      canonical_form, from_graph6, layered_rows, lower_twins,
                      reach, relabeling_codes, to_graph6)
-from .metrics import _augment, _diameter, diameter, is_k_connected
+from .metrics import _diameter, _flow, diameter, is_k_connected
 
 DEFAULT_ORDER_GUARD = 8
 #: up to this order (at most 6! = 720 codes) the post-check lists each
@@ -140,7 +140,7 @@ def _keeps_k_paths(rows: tuple[int, ...], k: int, u: int, v: int) -> bool:
     k-connected: by the module's lemma, whether G - uv has k internally
     disjoint u-v paths."""
     n = len(rows)
-    return _augment(rows, (1 << n) - 1, u, v, list(range(n)), 0, k) == k
+    return _flow(rows, (1 << n) - 1, u, v, k)[0] == k
 
 
 def _top_move(rows: tuple[int, ...], u: int, v: int, up: bool) -> bool:

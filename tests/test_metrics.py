@@ -36,6 +36,34 @@ def two_k4():
                           if u // 4 == v // 4])
 
 
+def flow_paths(rows, keep, s, t, pred):
+    """The s-t paths a flow list carries, each without its ends.
+
+    pred[v] == v for a free vertex, else v's predecessor on its path.
+    Asserts that the loaded vertices lie in ``keep`` and form internally
+    disjoint s-t paths of G[keep], with none left over on a cycle.
+    """
+    after = {}
+    starts = []
+    for v, u in enumerate(pred):
+        if u != v:
+            assert v not in (s, t) and keep >> v & 1 and rows[u] >> v & 1
+            if u == s:
+                starts.append(v)
+            else:
+                assert u not in after, "two units leave one vertex"
+                after[u] = v
+    paths = []
+    for v in starts:
+        path = [v]
+        while path[-1] in after:
+            path.append(after[path[-1]])
+        assert rows[path[-1]] >> t & 1
+        paths.append(path)
+    assert sum(map(len, paths)) == sum(u != v for v, u in enumerate(pred))
+    return paths
+
+
 # --- layers and diameter ----------------------------------------------------
 
 
@@ -108,6 +136,34 @@ def test_diameter_ratchet_matches_floyd_warshall():
     assert seen == {"disconnected", "over cap", "floor", "diameter"}
 
 
+class CountingRows(tuple):
+    """Adjacency rows that count how often a row is read."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        type(self).reads += 1
+        return super().__getitem__(v)
+
+
+def test_diameter_ratchet_reads_each_row_once_per_source(monkeypatch):
+    # raising best takes the stopped flood one layer on instead of
+    # flooding again from v: on P62 the first source would otherwise
+    # read about 62^2 / 2 rows by itself
+    rows = CountingRows(path(62).rows)
+    monkeypatch.setattr(CountingRows, "reads", 0)
+    assert metrics._diameter(rows, 0, 61) == 61
+    assert CountingRows.reads <= 62 * 62
+
+
+@pytest.mark.parametrize("lone", [0, 61])
+def test_diameter_of_a_path_and_an_isolated_vertex(lone):
+    # the ratchet's own flood finds the graph disconnected
+    others = [v for v in range(62) if v != lone]
+    g = from_edges(62, list(zip(others, others[1:])))
+    assert diameter(g) is DISCONNECTED
+
+
 def test_is_connected():
     assert is_connected(k_n(1))
     assert is_connected(path(6))
@@ -169,6 +225,46 @@ def test_local_connectivity_limit_caps_the_flow():
                 for limit in range(n + 1):
                     assert local_connectivity(g, s, t, limit=limit) == \
                         min(limit, exact)
+
+
+def test_flow_matches_brute_separators_inside_keep():
+    # _flow's preload of common neighbours stays inside keep and under
+    # limit, and _augment completes it to min(limit, kappa(s, t; G[keep]))
+    rng = random.Random(29)
+    preloaded = 0
+    for _ in range(150):
+        n = rng.randrange(2, 13)
+        g = random_graph(rng, n, rng.random())
+        pairs = [(s, t) for s, t in combinations(range(n), 2)
+                 if not g.has_edge(s, t)]
+        if not pairs:
+            continue
+        s, t = rng.choice(pairs)
+        keep = rng.getrandbits(n) | 1 << s | 1 << t
+        induced = Graph(n, tuple(row & keep if keep >> v & 1 else 0
+                                 for v, row in enumerate(g.rows)))
+        exact = brute_min_separator(induced, s, t)
+        preloaded += (g.rows[s] & g.rows[t] & keep).bit_count() > 0
+        for limit in range(n + 1):
+            flow, pred = metrics._flow(g.rows, keep, s, t, limit)
+            assert flow == min(limit, exact), (to_graph6(g), keep, s, t)
+            assert len(flow_paths(g.rows, keep, s, t, pred)) == flow
+    assert preloaded >= 30
+
+
+def test_in_min_cut_skips_a_unit_that_only_circles():
+    # a max flow may carry a circulation besides its paths; a vertex on
+    # it alone lies in no minimum cut.  C6 with s = 0, t = 3 has two
+    # paths; the triangle 6, 7, 8 hangs off vertex 1 and circles
+    g = from_edges(9, [*zip(range(6), [1, 2, 3, 4, 5, 0]),
+                       (6, 7), (7, 8), (8, 6), (1, 6)])
+    full = (1 << 9) - 1
+    pred = [0, 0, 1, 3, 5, 0, 8, 6, 7]
+    assert len(flow_paths(g.rows, full, 0, 3, pred[:6] + [6, 7, 8])) == 2
+    tight = [(0, 3, pred, 2)]
+    assert metrics._in_min_cut(g.rows, full, 1 << 1, tight)
+    for v in (6, 7, 8):
+        assert not metrics._in_min_cut(g.rows, full, 1 << v, tight)
 
 
 def test_vertex_connectivity_basics():
@@ -438,11 +534,11 @@ def test_flows_follow_the_esfahanian_hakimi_pairs(monkeypatch, kappa, g):
     # degree, with its non-neighbours, then pairs v's non-adjacent
     # neighbours, and runs at most (n - 1 - delta) + C(delta, 2) flows:
     # vertex_connectivity's loops are _tight_flows calls, each flow one
-    # _augment from scratch; is_k_connected's are _kappa calls, each
-    # flow one local_connectivity
+    # fresh _flow; is_k_connected's are _kappa calls, each flow one
+    # local_connectivity
     calls = []  # (rows, keep, flows) per loop
     inner = {name: getattr(metrics, name) for name in
-             ("_kappa", "local_connectivity", "_tight_flows", "_augment")}
+             ("_kappa", "local_connectivity", "_tight_flows", "_flow")}
     in_loop = False
 
     def kappa_call(h, *args, **kwargs):
@@ -463,11 +559,11 @@ def test_flows_follow_the_esfahanian_hakimi_pairs(monkeypatch, kappa, g):
         finally:
             in_loop = False
 
-    def augment_call(rows, keep, s, t, pred, flow, limit):
+    def fresh_call(rows, keep, s, t, limit):
         if in_loop:
-            assert flow == 0 and rows is calls[-1][0] and keep == calls[-1][1]
+            assert rows is calls[-1][0] and keep == calls[-1][1]
             calls[-1][2].append((s, t))
-        return inner["_augment"](rows, keep, s, t, pred, flow, limit)
+        return inner["_flow"](rows, keep, s, t, limit)
 
     def check_calls():
         count = 0
@@ -490,7 +586,7 @@ def test_flows_follow_the_esfahanian_hakimi_pairs(monkeypatch, kappa, g):
         return count
 
     for name, hook in (("_kappa", kappa_call), ("local_connectivity", flow_call),
-                       ("_tight_flows", tight_call), ("_augment", augment_call)):
+                       ("_tight_flows", tight_call), ("_flow", fresh_call)):
         monkeypatch.setattr(metrics, name, hook)
     assert vertex_connectivity(g).kappa == kappa
     assert calls[0][1] == (1 << g.order) - 1  # G itself first
@@ -532,8 +628,9 @@ def test_tight_flows_keep_exactly_the_pairs_at_kappa():
         assert [(s, t) for s, t, _, _ in tight] == [
             (s, t) for s, t in metrics._pairs(g.rows, full)
             if local_connectivity(g, s, t) == kappa]
-        for s, t, _, paths in tight:
-            assert len(paths) == kappa
+        for s, t, pred, flow in tight:
+            assert flow == kappa
+            assert len(flow_paths(g.rows, full, s, t, pred)) == kappa
 
 
 def test_a_pair_below_the_running_minimum_restarts_the_tight_list():
