@@ -3,16 +3,20 @@
 BFS layer profiles, diameter with a typed sentinel for disconnected
 graphs (one depth-capped flood per vertex, taken one layer further each
 time the cap is raised until it covers the graph; a flood that dies
-short of it finds the graph disconnected: ``_diameter``, the ratchet
-the oracle's screen runs from d - 1 with cap d),
+short of it finds the graph disconnected; a flood that covers the graph
+short of its depth skips the source's neighbours, whose eccentricities
+are at most one more: ``_diameter``, the ratchet the oracle's screen
+runs from d - 1 with cap d),
 ``layer_structure_check`` (is the graph the complete layered graph on
 its BFS layers, as :func:`oremax.graphs.layered_rows` writes it), and
 vertex connectivity by Menger's theorem: the maximum number of
 internally disjoint paths between a non-adjacent pair equals the
 minimum separator size.  Each pair is a unit-capacity max flow on the
 vertex-split digraph: ``_flow`` loads the path s-w-t through each
-common neighbour w, then augmenting paths that step along the
-adjacency bitmask rows of the vertices in a mask find the rest.
+common neighbour w, then greedily a disjoint path s-a-b-t for each
+neighbour a of s alone that has an unused neighbour b of t alone, and
+augmenting paths that step along the adjacency bitmask rows of the
+vertices in a mask find the rest.
 Every connectivity function walks Esfahanian & Hakimi's pairs: one BFS
 rules out a disconnected graph and settles kappa <= 1 with no flow;
 past that it starts from the minimum degree delta, takes a vertex v of
@@ -125,9 +129,13 @@ def _diameter(rows: Sequence[int], best: int, cap: int) -> int | None:
     # max(best, diameter), or None once that would pass ``cap`` or a
     # flood dies short of the graph; best <= cap.  The flood from v at
     # depth best misses a vertex iff v's eccentricity exceeds best, and
-    # each raise of best takes that flood one layer further.
-    full = (1 << len(rows)) - 1
-    for v in range(len(rows)):
+    # each raise of best takes that flood one layer further.  A flood
+    # that covers the graph and stops short of depth best shows
+    # ecc(v) < best, so no neighbour w of v, with ecc(w) <= ecc(v) + 1,
+    # can raise best: they leave ``todo`` unflooded (Takes & Kosters).
+    todo = full = (1 << len(rows)) - 1
+    while todo:
+        v = (todo & -todo).bit_length() - 1
         reached, frontier = reach(rows, 1 << v, depth=best)
         while reached != full:
             if not frontier or best == cap:
@@ -135,6 +143,7 @@ def _diameter(rows: Sequence[int], best: int, cap: int) -> int | None:
             best += 1
             frontier = reach(rows, frontier, ~reached, 1)[1]
             reached |= frontier
+        todo &= ~(1 << v if frontier else rows[v] | 1 << v)
     return best
 
 
@@ -198,15 +207,32 @@ def _flow(rows: Sequence[int], keep: int, s: int, t: int,
           limit: int) -> tuple[int, list[int]]:
     # A fresh s-t flow inside ``keep`` capped at ``limit``, as (value,
     # pred).  Each common neighbour w of s and t in ``keep`` is loaded
-    # as the path s-w-t first, and ``_augment`` finds the rest.
+    # as the path s-w-t first.  Then each neighbour a of s alone takes
+    # the least unused neighbour b of t alone adjacent to it, as the
+    # path s-a-b-t: the two sets are disjoint, so only the used b need
+    # leave.  ``_augment`` finds the rest, backing over a poor pick.
     pred = list(range(len(rows)))
-    common = rows[s] & rows[t] & keep
+    near = rows[s] & keep
+    common = near & rows[t]
     flow = 0
     while common and flow < limit:
         low = common & -common
         pred[low.bit_length() - 1] = s
         common ^= low
         flow += 1
+    ends = rows[t] & keep & ~near
+    near &= ~rows[t]
+    while near and ends and flow < limit:
+        low = near & -near
+        a = low.bit_length() - 1
+        near ^= low
+        b = rows[a] & ends
+        if b:
+            b &= -b
+            ends ^= b
+            pred[a] = s
+            pred[b.bit_length() - 1] = a
+            flow += 1
     return _augment(rows, keep, s, t, pred, flow, limit), pred
 
 

@@ -82,7 +82,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .errors import CapacityError
+from .errors import CapacityError, ParameterError
 from .extremal import (FormulaMode, Parameters, backbone_order,
                        enumerate_family, max_size_formula)
 from .graphs import (Graph, _certificate, _invariant, bit_code, bits,
@@ -329,7 +329,8 @@ def sweep(n_max: int, k_max: int | None = None,
     """verify_theorem over every valid instance within the bounds.
 
     Instances run in lexicographic (n, k, d) order; k_max and d_max
-    default to n_max.
+    default to n_max.  Bounds that admit no instance (n_max < 3,
+    k_max < 1 or d_max < 2) raise ParameterError.
     """
     if n_max > DEFAULT_ORDER_GUARD:
         raise CapacityError(
@@ -338,6 +339,10 @@ def sweep(n_max: int, k_max: int | None = None,
         k_max = n_max
     if d_max is None:
         d_max = n_max
+    if n_max < 3 or k_max < 1 or d_max < 2:
+        raise ParameterError(
+            f"bounds n_max {n_max}, k_max {k_max}, d_max {d_max} admit no "
+            "instance: need n_max >= 3, k_max >= 1 and d_max >= 2")
     reports = []
     for n in range(3, n_max + 1):
         for k in range(1, k_max + 1):

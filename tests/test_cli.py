@@ -159,6 +159,16 @@ def test_sweep_mismatch_exits_3(monkeypatch, capsys):
     assert run(["sweep", "--n-max", "3"]) == 3
 
 
+@pytest.mark.parametrize("bounds", [
+    ["--n-max", "0"], ["--n-max", "-3"], ["--n-max", "2"],
+    ["--n-max", "5", "--k-max", "0"], ["--n-max", "5", "--d-max", "1"]])
+def test_sweep_without_instances_exits_2_before_the_header(capsys, bounds):
+    assert run(["sweep", *bounds]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("oremax: error: bounds ")
+
+
 def test_usage_errors_exit_1(capsys):
     assert run([]) == 1
     assert run(["bogus"]) == 1

@@ -156,6 +156,32 @@ def test_diameter_ratchet_reads_each_row_once_per_source(monkeypatch):
     assert CountingRows.reads <= 62 * 62
 
 
+def flooded_sources(monkeypatch, rows, best, cap):
+    """_diameter's value and the sources it floods from."""
+    sources = []
+    flood = metrics.reach
+
+    def spy(rows, seed, allowed=-1, depth=-1):
+        if allowed == -1:  # a fresh flood, not a raise's one more layer
+            sources.append(seed.bit_length() - 1)
+        return flood(rows, seed, allowed, depth)
+
+    monkeypatch.setattr(metrics, "reach", spy)
+    return metrics._diameter(rows, best, cap), sources
+
+
+def test_diameter_ratchet_skips_the_neighbours_of_a_central_vertex(
+        monkeypatch):
+    # a flood that covers the graph short of depth best shows ecc(v) <
+    # best, so no neighbour of v can raise it.  On P62 vertex 0 raises
+    # best to 61, and each odd vertex after it then clears both its
+    # neighbours; a star's centre, flooded second, clears every leaf
+    assert flooded_sources(monkeypatch, path(62).rows, 0, 61) == (
+        61, [0, *range(1, 61, 2), 61])
+    star = from_edges(40, [(1, v) for v in range(40) if v != 1])
+    assert flooded_sources(monkeypatch, star.rows, 0, 39) == (2, [0, 1])
+
+
 @pytest.mark.parametrize("lone", [0, 61])
 def test_diameter_of_a_path_and_an_isolated_vertex(lone):
     # the ratchet's own flood finds the graph disconnected
@@ -250,6 +276,38 @@ def test_flow_matches_brute_separators_inside_keep():
             assert flow == min(limit, exact), (to_graph6(g), keep, s, t)
             assert len(flow_paths(g.rows, keep, s, t, pred)) == flow
     assert preloaded >= 30
+
+
+def test_flow_loads_three_edge_paths_before_any_search(monkeypatch):
+    # s = 0 and t = 10 share one neighbour, 1; every other 0-10 path has
+    # three edges, 0-a-b-10 with a in 2..5 and b in 6..9, each a
+    # adjacent to each b.  1 is also adjacent to 2 but, being a
+    # neighbour of s, is no b.  The preload pairs each a with the least
+    # unused b, so the flow reaches its limit before _augment searches
+    g = from_edges(11, [(0, 1), (1, 10), (1, 2),
+                        *((0, a) for a in range(2, 6)),
+                        *((b, 10) for b in range(6, 10)),
+                        *product(range(2, 6), range(6, 10))])
+    entered = []
+    augment = metrics._augment
+
+    def spy(rows, keep, s, t, pred, flow, limit):
+        entered.append((flow, limit))
+        return augment(rows, keep, s, t, pred, flow, limit)
+
+    monkeypatch.setattr(metrics, "_augment", spy)
+    full = (1 << 11) - 1
+    flow, pred = metrics._flow(g.rows, full, 0, 10, 5)
+    assert (flow, entered) == (5, [(5, 5)])
+    assert flow_paths(g.rows, full, 0, 10, pred) == [
+        [1], [2, 6], [3, 7], [4, 8], [5, 9]]
+    # the preload stops at the limit and stays inside keep: without 6
+    # the last a has no b left, and one search finds no path for it
+    assert metrics._flow(g.rows, full, 0, 10, 3)[0] == 3
+    flow, pred = metrics._flow(g.rows, full ^ 1 << 6, 0, 10, 5)
+    assert flow == 4 and entered[-1] == (4, 5)
+    assert flow_paths(g.rows, full ^ 1 << 6, 0, 10, pred) == [
+        [1], [2, 7], [3, 8], [4, 9]]
 
 
 def test_in_min_cut_skips_a_unit_that_only_circles():

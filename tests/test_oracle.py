@@ -9,7 +9,7 @@ from bruteforce import (brute_vertex_connectivity, candidate_ok, cells,
                         dedup_canonical, edges, fw_diameter, is_isomorphic,
                         keep_masks, labelled_search, random_graph,
                         ref_canonical_code, relabel, scan_level)
-from oremax import (DISCONNECTED, CapacityError, Parameters,
+from oremax import (DISCONNECTED, CapacityError, ParameterError, Parameters,
                     bfs_layers, canonical_form, diameter, enumerate_family,
                     from_graph6, is_k_connected, layer_structure_check,
                     max_size_bruteforce, sweep, to_graph6, verify_theorem)
@@ -602,3 +602,12 @@ def test_sweep_defaults_and_guard():
     assert params == [(3, 1, 2), (4, 1, 2), (4, 1, 3), (4, 2, 2)]
     with pytest.raises(CapacityError):
         sweep(9)
+
+
+@pytest.mark.parametrize("bounds", [(2,), (0,), (-3,), (5, 0), (5, 1, 1),
+                                    (9, 0)])
+def test_sweep_rejects_bounds_that_admit_no_instance(bounds):
+    # (9, 0) is past the guard as well; the guard is checked first
+    error = CapacityError if bounds[0] > 8 else ParameterError
+    with pytest.raises(error):
+        sweep(*bounds)
