@@ -151,11 +151,9 @@ def _cmd_backbone(args) -> int:
 
 def _cmd_family(args) -> int:
     members = enumerate_family(Parameters(args.n, args.k, args.d))
-    if args.format == "graph6":
-        for g in members:
-            print(to_graph6(g))
-    elif members:
-        print("\n\n".join(_serialize(g, args.format) for g in members))
+    if members:
+        sep = "\n" if args.format == "graph6" else "\n\n"
+        print(sep.join(_serialize(g, args.format) for g in members))
     return 0
 
 

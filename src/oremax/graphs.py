@@ -24,7 +24,7 @@ that cell order and adjacency rows; the two vertex-order searches
 behind :func:`canonical_form` and :func:`_certificate` append the same
 columns, one vertex at a time.
 
-The package's only bitmask loops live here: :func:`bits` lists a mask's
+The package's shared bitmask loops live here: :func:`bits` lists a mask's
 set bits, :func:`reach` floods breadth-first over adjacency rows (every
 BFS layering, connectedness test and the oracle's diameter screen goes
 through it), :func:`cut_vertices` finds the cut vertices of an induced
@@ -70,13 +70,13 @@ class Graph:
             raise ParameterError("order must be non-negative")
         if len(self.rows) != self.order:
             raise ParameterError("adjacency must have one row per vertex")
+        # one pass: the first defective row reports its first defect
         full = (1 << self.order) - 1
         for v, row in enumerate(self.rows):
             if row & ~full:
                 raise ParameterError(f"row {v} has bits outside 0..{self.order - 1}")
             if row >> v & 1:
                 raise ParameterError(f"self-loop at vertex {v}")
-        for v, row in enumerate(self.rows):
             for u in bits(row):
                 if not self.rows[u] >> v & 1:
                     raise ParameterError(f"asymmetric adjacency between {u} and {v}")

@@ -12,11 +12,12 @@ its BFS layers, as :func:`oremax.graphs.layered_rows` writes it), and
 vertex connectivity by Menger's theorem: the maximum number of
 internally disjoint paths between a non-adjacent pair equals the
 minimum separator size.  Each pair is a unit-capacity max flow on the
-vertex-split digraph: ``_flow`` loads the path s-w-t through each
-common neighbour w, then greedily a disjoint path s-a-b-t for each
-neighbour a of s alone that has an unused neighbour b of t alone, and
-augmenting paths that step along the adjacency bitmask rows of the
-vertices in a mask find the rest.
+vertex-split digraph: ``_flow`` walks the neighbours a of s once,
+loading the path s-a-t when a is a neighbour of t and otherwise,
+greedily, s-a-b-t through the least unused neighbour b of t alone
+adjacent to a; augmenting paths, found by ``_augment``'s own
+breadth-first search along the adjacency bitmask rows of the vertices
+in a mask, find the rest.
 Every connectivity function walks Esfahanian & Hakimi's pairs: one BFS
 rules out a disconnected graph and settles kappa <= 1 with no flow;
 past that it starts from the minimum degree delta, takes a vertex v of
@@ -38,9 +39,9 @@ position.  Every minimum cut is a minimum s-t cut of a tight pair, and
 v lies in one iff the s-t flow drops when v goes (Picard & Queyranne).
 A tight flow is kept as its bare ``pred`` list; only a candidate loaded
 on it has its one path traced and unloaded, and then one augmenting
-search settles that.  Cut vertices settle the last two positions.
-Every other traversal over adjacency rows is a call to
-:func:`oremax.graphs.reach` or :func:`oremax.graphs.cut_vertices`.
+search settles that.  Cut vertices settle the last two positions,
+by :func:`oremax.graphs.cut_vertices`; every flood outside the flow
+is a call to :func:`oremax.graphs.reach`.
 """
 
 from __future__ import annotations
@@ -206,28 +207,23 @@ def _augment(rows: Sequence[int], keep: int, s: int, t: int,
 def _flow(rows: Sequence[int], keep: int, s: int, t: int,
           limit: int) -> tuple[int, list[int]]:
     # A fresh s-t flow inside ``keep`` capped at ``limit``, as (value,
-    # pred).  Each common neighbour w of s and t in ``keep`` is loaded
-    # as the path s-w-t first.  Then each neighbour a of s alone takes
-    # the least unused neighbour b of t alone adjacent to it, as the
-    # path s-a-b-t: the two sets are disjoint, so only the used b need
+    # pred).  One walk over the neighbours a of s in ``keep`` loads the
+    # short paths: a neighbour of t is the path s-a-t, and any other a
+    # takes the least unused b in N(t) - N(s) adjacent to it, as the
+    # path s-a-b-t.  No b is a neighbour of s, so only the used b need
     # leave.  ``_augment`` finds the rest, backing over a poor pick.
     pred = list(range(len(rows)))
     near = rows[s] & keep
-    common = near & rows[t]
-    flow = 0
-    while common and flow < limit:
-        low = common & -common
-        pred[low.bit_length() - 1] = s
-        common ^= low
-        flow += 1
     ends = rows[t] & keep & ~near
-    near &= ~rows[t]
-    while near and ends and flow < limit:
+    flow = 0
+    while near and flow < limit:
         low = near & -near
         a = low.bit_length() - 1
         near ^= low
-        b = rows[a] & ends
-        if b:
+        if rows[t] & low:
+            pred[a] = s
+            flow += 1
+        elif b := rows[a] & ends:
             b &= -b
             ends ^= b
             pred[a] = s
@@ -241,13 +237,16 @@ def local_connectivity(g: Graph, s: int, t: int, *,
     """Maximum number of internally vertex-disjoint s-t paths.
 
     Requires a non-adjacent pair; adjacent pairs have no finite
-    separator and are the caller's business to skip.  ``limit`` stops
-    the augmentation early once that many paths are found.
+    separator and are the caller's business to skip.  ``limit``, if
+    given, must be non-negative; it stops the augmentation early once
+    that many paths are found.
     """
     g._check_vertex(s)
     g._check_vertex(t)
     if s == t:
         raise ParameterError("endpoints must be distinct")
+    if limit is not None and limit < 0:
+        raise ParameterError("limit must be non-negative")
     if g.has_edge(s, t):
         raise ParameterError("endpoints must be non-adjacent")
     return _flow(g.rows, (1 << g.order) - 1, s, t,

@@ -244,18 +244,18 @@ def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
         # kappa runs once per class, on the exact-d ones first; only the
         # winners of the answer level, one per class, pay for a
         # canonical form.  Up, a level holds every class of diameter
-        # >= d; down, the alive classes, all of diameter below d.
-        kept = {rows: hit and k_connected(rows, edge)
-                for rows, (hit, edge) in (classes(True, None) if up
-                                            else classes(True))}
-        found = [rows for rows, ok in kept.items() if ok]
+        # >= d, listed once; down, the alive classes, all of diameter
+        # below d, listed only when no exact-d class wins.
+        exact = classes(True, None) if up else classes(True)
+        found = [rows for rows, (hit, edge) in exact
+                 if hit and k_connected(rows, edge)]
         if found:
             max_size, winners = size, found
             if not up:
                 break
-        level = ([*found, *(rows for rows, ok in kept.items() if not ok)]
-                 if up else [rows for rows, (_, edge) in classes(False)
-                             if k_connected(rows, edge)])
+        level = ([rows for rows, _ in exact] if up
+                 else [rows for rows, (_, edge) in classes(False)
+                       if k_connected(rows, edge)])
         if not level:
             break
         size += step

@@ -1,0 +1,58 @@
+"""The climbs' class counts against published graph counts (see
+``census``): connected graphs, trees, and at orders up to 7 every
+graph of networkx's atlas, by size and diameter."""
+
+from collections import Counter
+from math import comb
+
+import networkx as nx
+import pytest
+
+from census import CONNECTED, TREES, census
+from oremax.graphs import bits
+from oremax.oracle import _trees
+
+
+def to_nx(rows):
+    g = nx.empty_graph(len(rows))
+    g.add_edges_from((u, v) for u, row in enumerate(rows) for v in bits(row))
+    return g
+
+
+def by_size_and_diameter(graphs):
+    return Counter((g.number_of_edges(), nx.diameter(g)) for g in graphs)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_census_counts_every_connected_class(n):
+    up = census(n, True)
+    assert sorted(up) == list(range(n - 1, comb(n, 2) + 1))
+    assert len(up[n - 1]) == TREES[n]
+    assert sum(map(len, up.values())) == CONNECTED[n]
+    # down holds the same classes at every size >= n, and the path alone
+    # at n - 1, where it stops
+    down = census(n, False)
+    assert {size: len(kept) for size, kept in down.items() if size >= n} == \
+        {size: len(kept) for size, kept in up.items() if size >= n}
+    (path,) = down[n - 1]
+    assert nx.diameter(to_nx(path)) == n - 1
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_trees_count_every_tree(n):
+    assert len(_trees(n, 1)) == TREES[n]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_census_matches_the_atlas_by_size_and_diameter(n):
+    atlas = by_size_and_diameter(
+        g for g in nx.graph_atlas_g()
+        if g.number_of_nodes() == n and nx.is_connected(g))
+    up = census(n, True)
+    assert by_size_and_diameter(
+        to_nx(rows) for kept in up.values() for rows in kept) == atlas
+    down = census(n, False)
+    assert by_size_and_diameter(
+        to_nx(rows) for kept in down.values() for rows in kept) == \
+        atlas - Counter({key: m for key, m in atlas.items()
+                         if key[0] == n - 1}) + Counter({(n - 1, n - 1): 1})

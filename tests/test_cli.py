@@ -247,7 +247,7 @@ def test_sweep_n_max_8_matches_the_committed_table(capsys):
     rows = [line.split("\t") for line in golden.splitlines()]
     assert len(rows) == 42
     assert all(row[4] == row[6] == "true" for row in rows[1:])
-    assert sum(row[2] >= "4" for row in rows[1:]) == 11
+    assert sum(int(row[2]) >= 4 for row in rows[1:]) == 11
     assert run(["sweep", "--n-max", "8"]) == 0
     assert capsys.readouterr().out == golden
 

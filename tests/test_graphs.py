@@ -78,6 +78,10 @@ def test_graph_invariants_rejected():
         Graph(3, (0, 0))  # row count
     with pytest.raises(ParameterError):
         Graph(-1, ())  # negative order
+    # one pass over the rows: the first defective row reports its first
+    # defect, here row 0's missing partner before row 2's self-loop
+    with pytest.raises(ParameterError, match="asymmetric adjacency"):
+        Graph(3, (0b010, 0b000, 0b100))
 
 
 def test_graph_keeps_list_rows_as_a_tuple():

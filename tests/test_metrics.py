@@ -253,8 +253,15 @@ def test_local_connectivity_limit_caps_the_flow():
                         min(limit, exact)
 
 
+def test_local_connectivity_rejects_a_negative_limit():
+    g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert local_connectivity(g, 0, 3, limit=0) == 0
+    with pytest.raises(ParameterError, match="limit"):
+        local_connectivity(g, 0, 3, limit=-1)
+
+
 def test_flow_matches_brute_separators_inside_keep():
-    # _flow's preload of common neighbours stays inside keep and under
+    # _flow's one-walk preload of short paths stays inside keep and under
     # limit, and _augment completes it to min(limit, kappa(s, t; G[keep]))
     rng = random.Random(29)
     preloaded = 0
