@@ -22,7 +22,9 @@ zero-padded on the right to a multiple of six bits, each group offset
 by 63.  Only :func:`bit_code` and :func:`from_bit_code` convert between
 that cell order and adjacency rows; the two vertex-order searches
 behind :func:`canonical_form` and :func:`_certificate` append the same
-columns, one vertex at a time.
+columns, one vertex at a time.  :func:`_transpose`, log2(width) masked
+block swaps on rows packed into one int, is the codec's and ``Graph``
+validation's one transposition: a row's missing partner is one bit.
 
 The package's shared bitmask loops live here: :func:`bits` lists a mask's
 set bits, :func:`reach` floods breadth-first over adjacency rows (every
@@ -43,6 +45,7 @@ printed form is still the least code from :func:`canonical_form`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, Graph6ParseError, ParameterError
@@ -65,21 +68,33 @@ class Graph:
 
     def __post_init__(self):
         # a list would leave the graph unhashable and open to writes
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if self.order < 0:
+        object.__setattr__(self, "rows", rows := tuple(self.rows))
+        n = self.order
+        if n < 0:
             raise ParameterError("order must be non-negative")
-        if len(self.rows) != self.order:
+        if len(rows) != n:
             raise ParameterError("adjacency must have one row per vertex")
-        # one pass: the first defective row reports its first defect
-        full = (1 << self.order) - 1
-        for v, row in enumerate(self.rows):
-            if row & ~full:
-                raise ParameterError(f"row {v} has bits outside 0..{self.order - 1}")
-            if row >> v & 1:
-                raise ParameterError(f"self-loop at vertex {v}")
-            for u in bits(row):
-                if not self.rows[u] >> v & 1:
-                    raise ParameterError(f"asymmetric adjacency between {u} and {v}")
+        # the rows' in-range parts as one bit matrix: a bit whose
+        # transposed partner is clear, or on the diagonal, is a defect
+        full = (1 << n) - 1
+        width = 1 << (n - 1).bit_length()
+        packed = 0
+        for v, row in enumerate(rows):
+            packed |= (row & full) << v * width
+        wrong = packed & (~_transpose(packed, width) | _masks(width)[1])
+        if (not wrong and 0 <= min(rows, default=0)
+                and max(rows, default=0) <= full):
+            return
+        # the first defective row reports its first defect: its range,
+        # then a self-loop, then the least u missing its partner
+        ranged = next((v for v, row in enumerate(rows)
+                       if not 0 <= row <= full), n)
+        v, u = divmod((wrong & -wrong).bit_length() - 1, width)
+        if not 0 <= v < ranged:
+            raise ParameterError(f"row {ranged} has bits outside 0..{n - 1}")
+        if wrong >> v * (width + 1) & 1:
+            raise ParameterError(f"self-loop at vertex {v}")
+        raise ParameterError(f"asymmetric adjacency between {u} and {v}")
 
     @property
     def size(self) -> int:
@@ -111,6 +126,30 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@cache
+def _masks(width: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """:func:`_transpose`'s rounds, j descending, as (shift, mask): the
+    mask holds each cell (r, c) with bit j clear in r and set in c, which
+    trades places with (r + j, c - j); and the diagonal mask."""
+    swaps = []
+    for j in reversed([1 << i for i in range(width.bit_length() - 1)]):
+        col = sum(1 << c for c in range(width) if c & j)
+        mask = sum(col << r * width for r in range(width) if not r & j)
+        swaps.append((j * (width - 1), mask))
+    return tuple(swaps), sum(1 << v * (width + 1) for v in range(width))
+
+
+def _transpose(packed: int, width: int) -> int:
+    """Transpose of the bit matrix whose row r is ``packed``'s bits from
+    ``r * width``, ``width`` a power of two: each round swaps the corner
+    blocks of every 2j x 2j block, j halving from width / 2 to 1
+    (Warren, Hacker's Delight, 2nd ed., section 7-3)."""
+    for shift, mask in _masks(width)[0]:
+        swap = (packed ^ packed >> shift) & mask
+        packed ^= swap ^ swap << shift
+    return packed
 
 
 def reach(rows: Sequence[int], seed: int, allowed: int = -1,
@@ -247,9 +286,12 @@ def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def bit_code(g: Graph) -> int:
     """Upper-triangle adjacency as an integer; cell (0,1) is the top bit."""
-    # column j is row j's low j bits, vertex 0 first
-    return int("".join(f"{row:0{g.order}b}"[::-1][:j]
-                       for j, row in enumerate(g.rows)) or "0", 2)
+    # row j's low j bits are column j, cells j(j-1)/2 on; cell 0 goes on top
+    cells = base = 0
+    for j, row in enumerate(g.rows):
+        cells |= (row & (1 << j) - 1) << base
+        base += j
+    return int(f"{cells:0{base}b}"[::-1], 2)
 
 
 def from_bit_code(order: int, code: int) -> Graph:
@@ -257,13 +299,16 @@ def from_bit_code(order: int, code: int) -> Graph:
     n_cells = order * (order - 1) // 2
     if code < 0 or code >> n_cells:
         raise ParameterError(f"code out of range for order {order}")
-    text = f"{code:0{n_cells}b}"
-    # column j, vertex 0 first, widened to a row; the transpose of these
-    # lower-triangle rows is the upper triangle
-    cols = [text[j * (j - 1) // 2:j * (j + 1) // 2].ljust(order, "0")
-            for j in range(order)]
-    return Graph(order, tuple(int(col[::-1], 2) | int("".join(up)[::-1], 2)
-                              for col, up in zip(cols, zip(*cols))))
+    cells = int(f"{code:0{n_cells}b}"[::-1], 2)  # cell p is bit p
+    # column j, at stride width, holds row j's lower neighbours
+    width = 1 << (order - 1).bit_length()
+    lower = 0
+    for j in range(order):
+        lower |= (cells & (1 << j) - 1) << j * width
+        cells >>= j
+    packed = lower | _transpose(lower, width)  # and the upper ones
+    return Graph(order, tuple([packed >> v * width & (1 << width) - 1
+                               for v in range(order)]))
 
 
 def check_canonical_order(order: int) -> None:

@@ -152,7 +152,11 @@ def _top_move(rows: tuple[int, ...], u: int, v: int, up: bool) -> bool:
     degree = [row.bit_count() for row in rows]
     top = degree[u] + degree[v], (rows[u] & rows[v]).bit_count()
     for y in range(len(rows)):
-        for x in bits((rows[y] if up else ~rows[y]) & ((1 << y) - 1)):
+        m = (rows[y] if up else ~rows[y]) & ((1 << y) - 1)  # as in reach
+        while m:
+            low = m & -m
+            m ^= low
+            x = low.bit_length() - 1
             common = rows[x] & rows[y]
             # up, xy is no bridge iff x's other neighbours reach y without x
             if (degree[x] + degree[y], common.bit_count()) > top and (

@@ -6,7 +6,7 @@ enumeration for cuts, full permutation scans for canonical codes, the
 individualisation-refinement tree with no pruning for the certificate,
 networkx for isomorphism, and the labelled scan over every complement
 of each size for the oracle's maximum and maximizers.  They share no
-code with the package beyond building a graph from its edge list, so
+code with the package beyond building a graph from its edges or rows, so
 disagreements mean real bugs.  ``candidate_specs`` lists the window
 specs of the package's ``build_family_member``, the one constructor
 left that takes them.
@@ -24,10 +24,38 @@ from oremax import (DISCONNECTED, FamilyMemberSpec, Graph, Parameters, Side,
 INF = float("inf")
 
 
+def random_rows(rng, order: int, p: float = 0.5) -> list[int]:
+    """Symmetric adjacency rows of a random graph of any order, each pair
+    an edge with probability ``p``."""
+    rows = [0] * order
+    for u, v in combinations(range(order), 2):
+        if rng.random() < p:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows
+
+
 def random_graph(rng, order: int, p: float = 0.5) -> Graph:
-    edges = [(u, v) for u in range(order) for v in range(u + 1, order)
-             if rng.random() < p]
-    return from_edges(order, edges)
+    return Graph(order, random_rows(rng, order, p))
+
+
+def ref_graph_error(order: int, rows) -> str | None:
+    """The message ``Graph(order, rows)`` raises, or None if it accepts.
+
+    ``rows`` has one int per vertex.  Rows are read in turn, and the
+    first with a defect reports it: bits below 0 or at ``order`` and
+    above, else a self-loop, else the least neighbour u whose own row
+    lacks the row's vertex.
+    """
+    for v, row in enumerate(rows):
+        if row < 0 or row >> order:
+            return f"row {v} has bits outside 0..{order - 1}"
+        if row >> v & 1:
+            return f"self-loop at vertex {v}"
+        for u, ch in enumerate(reversed(bin(row))):
+            if ch == "1" and not rows[u] >> v & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
 
 
 def edges(g: Graph) -> list[tuple[int, int]]:

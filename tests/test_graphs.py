@@ -5,8 +5,9 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from bruteforce import (_connected_on, fw_distances, is_isomorphic,
-                        random_graph, ref_canonical_code, ref_certificate,
+from bruteforce import (_code_rows, _connected_on, _order_code, fw_distances,
+                        is_isomorphic, random_graph, random_rows,
+                        ref_canonical_code, ref_certificate, ref_graph_error,
                         ref_layered_graph, relabel)
 from oremax import graphs
 from oremax import (CANONICAL_MAX_ORDER, MAX_ORDER, CapacityError, Graph,
@@ -78,10 +79,45 @@ def test_graph_invariants_rejected():
         Graph(3, (0, 0))  # row count
     with pytest.raises(ParameterError):
         Graph(-1, ())  # negative order
+    with pytest.raises(ParameterError, match="row 1 has bits outside 0..1"):
+        Graph(2, (0b10, -3))  # negative row, its bit 0 symmetric
     # one pass over the rows: the first defective row reports its first
     # defect, here row 0's missing partner before row 2's self-loop
     with pytest.raises(ParameterError, match="asymmetric adjacency"):
         Graph(3, (0b010, 0b000, 0b100))
+
+
+def test_graph_validation_matches_reference():
+    # random rows at orders either side of a power of two, where the
+    # packed stride doubles, each with zero or more planted defects:
+    # Graph accepts what the reference accepts and raises its message
+    rng = random.Random(2032)
+    outcomes = set()
+    for n in (0, 1, 2, 3, 31, 32, 33, 62, 63, 64, 65, 127, 128, 129):
+        for _ in range(60):
+            rows = random_rows(rng, n, rng.random())
+            for _ in range(rng.randrange(4) if n else 0):  # 0: a control
+                v = rng.randrange(n)
+                kind = rng.randrange(4)
+                if kind == 0 and n > 1:  # one half of a pair flipped
+                    rows[v] ^= 1 << rng.choice([u for u in range(n) if u != v])
+                elif kind == 1:
+                    rows[v] |= 1 << v
+                elif kind == 2:  # a bit at or past the order
+                    rows[v] |= 1 << n + rng.randrange(3)
+                elif rng.random() < 0.5:  # a negative row
+                    rows[v] = ~rows[v]
+                else:
+                    rows[v] = -1 - rng.randrange(n + 1)
+            want = ref_graph_error(n, rows)
+            outcomes.add(want.split()[0] if want else None)
+            if want is None:
+                assert Graph(n, rows).rows == tuple(rows)
+                continue
+            with pytest.raises(ParameterError) as info:
+                Graph(n, rows)
+            assert str(info.value) == want
+    assert outcomes == {None, "row", "self-loop", "asymmetric"}
 
 
 def test_graph_keeps_list_rows_as_a_tuple():
@@ -478,6 +514,19 @@ def test_bit_code_round_trip():
         assert from_bit_code(n, bit_code(g)) == g
     with pytest.raises(ParameterError):
         from_bit_code(3, 8)  # only 3 cells
+
+
+def test_bit_code_past_the_graph6_cap():
+    # Graph and the codec have no order cap: the code equals the cells
+    # read one by one in column order, and decodes to the same graph
+    rng = random.Random(63)
+    for n in range(63, 131):
+        rows = random_rows(rng, n, rng.random())
+        g = Graph(n, rows)
+        code = bit_code(g)
+        assert code == _order_code(rows, range(n))
+        assert _code_rows(n, code) == rows
+        assert from_bit_code(n, code) == g
 
 
 # --- graph6 -----------------------------------------------------------------
