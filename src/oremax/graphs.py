@@ -121,7 +121,9 @@ class CanonicalForm:
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
+    """Indices of the set bits of ``mask``, ascending; ``mask`` >= 0."""
+    if mask < 0:
+        raise ParameterError(f"mask {mask} is negative")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

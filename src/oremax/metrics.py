@@ -85,9 +85,9 @@ class LayerProfile:
     eccentricity: int
 
     def layer_of(self, v: int) -> int | None:
-        """Distance from the source to v, or None if unreachable."""
+        """Distance from the source to v, or None if v is in no layer."""
         for r, layer in enumerate(self.layers):
-            if layer >> v & 1:
+            if v >= 0 and layer >> v & 1:
                 return r
         return None
 

@@ -5,8 +5,9 @@ given order, exact diameter, and connectivity level, then compares the
 answer against the closed-form modes and the generated family.
 
 The search walks the levels of a closed set of graphs one edge at a
-time and keeps, at each level, one graph per isomorphism class.  It
-runs in one of two directions:
+time and keeps, at each level, one graph per isomorphism class.  One
+loop, ``_levels``, yields the levels, and ``_climb`` reads its answer
+off them.  It runs in one of two directions:
 
 * down, for d <= 3: from the complete graph, deleting edges, through
   the *alive* graphs: those with connectivity >= k and diameter <= d.
@@ -81,6 +82,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .errors import CapacityError, ParameterError
 from .extremal import (FormulaMode, Parameters, backbone_order,
@@ -213,12 +215,15 @@ def _trees(n: int, d: int) -> list[tuple[int, ...]]:
     return trees
 
 
-def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
-    """Walk the levels of one closure, one edge per level.
-
-    Returns the maximum size and the sorted canonical graph6 strings of
-    the maximizers, or (None, []) if no graph qualifies.
-    """
+def _levels(n: int, k: int, d: int,
+            up: bool) -> Iterator[tuple[int, list[tuple], list[tuple]]]:
+    """The levels of one closure, one edge apart, from the start level
+    on, as (size, winners, kept).  The winners are one labelled graph per
+    class of diameter exactly d and connectivity >= k.  Up, ``kept``
+    holds every class of diameter >= d, the winners among them; down,
+    the alive classes, all below d, except at the first level with a
+    winner, which keeps just the winners, ends the walk and never dedups
+    its graphs below d.  No level that keeps nothing is yielded."""
     if up:
         start = _trees(n, d) if d < n else []
         size, step = n - 1, 1
@@ -229,7 +234,6 @@ def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
         size, step = n * (n - 1) // 2, -1
     # labelled graph -> its flood verdict and, down, the deleted edge
     verdicts = {rows: (_flood(rows, d), None) for rows in start}
-    max_size, winners = None, []
 
     def classes(*hits):
         # one labelled graph per class among the flood verdicts
@@ -245,26 +249,24 @@ def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
                 else is_k_connected(Graph(n, rows), k))
 
     while True:
-        # kappa runs once per class, on the exact-d ones first; only the
-        # winners of the answer level, one per class, pay for a
-        # canonical form.  Up, a level holds every class of diameter
-        # >= d, listed once; down, the alive classes, all of diameter
-        # below d, listed only when no exact-d class wins.
+        # kappa runs once per class, on the exact-d ones first
         exact = classes(True, None) if up else classes(True)
-        found = [rows for rows, (hit, edge) in exact
-                 if hit and k_connected(rows, edge)]
-        if found:
-            max_size, winners = size, found
-            if not up:
-                break
-        level = ([rows for rows, _ in exact] if up
-                 else [rows for rows, (_, edge) in classes(False)
-                       if k_connected(rows, edge)])
-        if not level:
-            break
+        winners = [rows for rows, (hit, edge) in exact
+                   if hit and k_connected(rows, edge)]
+        if up:
+            kept = [rows for rows, _ in exact]
+        elif winners:
+            yield size, winners, winners
+            return
+        else:
+            kept = [rows for rows, (_, edge) in classes(False)
+                    if k_connected(rows, edge)]
+        if not kept:
+            return
+        yield size, winners, kept
         size += step
         verdicts = {}
-        for rows in level:
+        for rows in kept:
             for u, v in _deletions(rows, up):
                 child = list(rows)
                 child[u] ^= 1 << v
@@ -275,6 +277,17 @@ def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
                 if child not in verdicts and _top_move(child, u, v, up):
                     verdicts[child] = (_flood(child, d),
                                        None if up else (u, v))
+
+
+def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
+    """The maximum size and the sorted canonical graph6 strings of the
+    maximizers, the winners of the last level of ``_levels`` that has
+    any, or (None, []) if no graph qualifies.  Only those winners, one
+    per class, pay for a canonical form."""
+    max_size, winners = None, []
+    for size, found, _ in _levels(n, k, d, up):
+        if found:
+            max_size, winners = size, found
     return max_size, sorted(canonical_form(Graph(n, rows)).g6
                             for rows in winners)
 

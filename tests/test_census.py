@@ -1,6 +1,7 @@
 """The climbs' class counts against published graph counts (see
-``census``): connected graphs, trees, and at orders up to 7 every
-graph of networkx's atlas, by size and diameter."""
+``census``): connected, 2-connected and 3-connected graphs, trees, and
+at orders up to 7 every graph of networkx's atlas, by size and
+diameter."""
 
 from collections import Counter
 from math import comb
@@ -8,7 +9,7 @@ from math import comb
 import networkx as nx
 import pytest
 
-from census import CONNECTED, TREES, census
+from census import CONNECTED, K_CONNECTED, TREES, census
 from oremax.graphs import bits
 from oremax.oracle import _trees
 
@@ -56,3 +57,24 @@ def test_census_matches_the_atlas_by_size_and_diameter(n):
         to_nx(rows) for kept in down.values() for rows in kept) == \
         atlas - Counter({key: m for key, m in atlas.items()
                          if key[0] == n - 1}) + Counter({(n - 1, n - 1): 1})
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_k_census_counts_every_k_connected_class(n, k):
+    # with k >= 2 no class of diameter n - 1 wins, so the down climb
+    # walks every k-connected class, each of size >= n
+    down = census(n, False, k)
+    assert set(down) <= set(range(n, comb(n, 2) + 1))
+    assert sum(map(len, down.values())) == K_CONNECTED[k].get(n, 0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_k_census_matches_the_atlas_by_size_and_diameter(n, k):
+    atlas = by_size_and_diameter(
+        g for g in nx.graph_atlas_g()
+        if g.number_of_nodes() == n and nx.node_connectivity(g) >= k)
+    down = census(n, False, k)
+    assert by_size_and_diameter(
+        to_nx(rows) for kept in down.values() for rows in kept) == atlas

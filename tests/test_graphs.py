@@ -132,6 +132,17 @@ def test_graph_keeps_list_rows_as_a_tuple():
     assert g.rows == (0b10, 0b01) and g.size == 1
 
 
+def test_bits_rejects_a_negative_mask():
+    # a negative mask has infinitely many set bits: the walk would never
+    # end, so it raises before the first index
+    assert list(bits(0b101100)) == [2, 3, 5]
+    assert list(bits(0)) == []
+    with pytest.raises(ParameterError, match="negative"):
+        next(bits(-1))
+    with pytest.raises(ParameterError, match="negative"):
+        next(bits(-1 << 70))
+
+
 def test_size_examples():
     assert k_n(4).size == 6
     assert from_edges(5, ()).size == 0

@@ -83,6 +83,9 @@ def test_bfs_layers_unreachable_excluded():
     prof = bfs_layers(g, 0)
     assert prof.layers == (0b0001, 0b0010)
     assert prof.layer_of(3) is None
+    # a vertex outside 0..n - 1 is in no layer either
+    assert prof.layer_of(4) is None
+    assert prof.layer_of(-1) is None
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
