@@ -10,11 +10,11 @@ loop, ``_levels``, yields the levels, and ``_climb`` reads its answer
 off them.  It runs in one of two directions:
 
 * down, for d <= 3: from the complete graph, deleting edges, through
-  the *alive* graphs: those with connectivity >= k and diameter <= d.
-  Both conditions survive adding an edge, so every graph between K_n
-  and a maximizer is alive, and deleting each edge of every alive class
-  reaches every alive class of the next level.  The first level that
-  holds an alive class of diameter exactly d gives the maximum.
+  the *alive* graphs: those of diameter <= d.  Adding an edge never
+  raises the diameter, so every graph between K_n and a maximizer is
+  alive, and deleting each edge of every alive class reaches every
+  alive class of the next level.  The first level that holds a class
+  of diameter exactly d and connectivity >= k gives the maximum.
 * up, for d >= 4: from the trees of diameter >= d, adding edges,
   through the graphs of diameter >= d.  Every such graph has a spanning
   tree of diameter at least its own, and every graph between the two
@@ -35,12 +35,13 @@ pair just moved has the greatest isomorphism-invariant key
 kept.  Down, those are its non-edges; up, its edges whose removal
 leaves it connected, which an edge with a common neighbour, on a
 triangle, needs no search to show.  No class is lost: for a class X
-of the next level and a top-key movable pair e, X + e is alive down
-(its diameter is below d, or the climb would have stopped at its
-level), and X - e is connected with diameter >= d up.  Either way it
-is in the previous level, whose representative makes a copy of X by
-the move that corresponds to e, or by a twin of it, and that move
-carries the top key.
+of the next level and a top-key movable pair e, X + e has diameter
+below d down (adding an edge loses no connectivity, so an X + e of
+diameter d would have won at its level and stopped the climb), and
+X - e is connected with diameter >= d up.  Either way it is in the
+previous level, whose representative makes a copy of X by the move
+that corresponds to e, or by a twin of it, and that move carries the
+top key.
 
 Each child kept gets one screen, ``metrics``' diameter ratchet run from
 d - 1 and capped at d, which tells a diameter below, at or above d.
@@ -52,16 +53,10 @@ partition-refinement certificate ``graphs._certificate`` (the order of
 work in McKay & Piperno, "Practical graph isomorphism II", J. Symb.
 Comput. 60, 2014).  The trees that seed the up climb share this dedup,
 ``_classes``, one order at a time.
-Connectivity >= k is then tested once per class.  Down, every parent
-is alive, and a k-connected G less an edge uv is k-connected iff it
-still has k internally disjoint u-v paths
-(Menger): a separator S of G - uv with |S| < k does not separate G, so
-uv joins two components of (G - uv) - S, and S separates u from v.  So
-one u-v flow, capped at k, decides each class, by the edge that made
-its representative.  Adding an edge gives no such lemma, so up,
-``metrics.is_k_connected`` tests the classes of diameter exactly d and
-no others.  At k = 1 the screen settles it: every graph it keeps is
-connected.  Only the maximizers, one per class, get a canonical form.
+Connectivity >= k is then tested once per class of diameter exactly
+d, by ``metrics.is_k_connected``, and on no other class.  At k = 1 the
+screen settles it: every graph it keeps is connected.  Only the
+maximizers, one per class, get a canonical form.
 
 The tests referee both directions with a labelled scan of their own,
 over every complement of each size, that shares none of its code.
@@ -90,7 +85,7 @@ from .extremal import (FormulaMode, Parameters, backbone_order,
 from .graphs import (Graph, _certificate, _invariant, bit_code, bits,
                      canonical_form, from_graph6, layered_rows, lower_twins,
                      reach, relabeling_codes, to_graph6)
-from .metrics import _diameter, _flow, diameter, is_k_connected
+from .metrics import _diameter, diameter, is_k_connected
 
 DEFAULT_ORDER_GUARD = 8
 #: up to this order (at most 6! = 720 codes) the post-check lists each
@@ -135,14 +130,6 @@ def _flood(rows: tuple[int, ...], d: int) -> bool | None:
     at d: None if the diameter is above d, else whether it is exactly d."""
     best = _diameter(rows, d - 1, d)
     return None if best is None else best == d
-
-
-def _keeps_k_paths(rows: tuple[int, ...], k: int, u: int, v: int) -> bool:
-    """Whether ``rows``, a k-connected graph G less its edge uv, is still
-    k-connected: by the module's lemma, whether G - uv has k internally
-    disjoint u-v paths."""
-    n = len(rows)
-    return _flow(rows, (1 << n) - 1, u, v, k)[0] == k
 
 
 def _top_move(rows: tuple[int, ...], u: int, v: int, up: bool) -> bool:
@@ -221,46 +208,39 @@ def _levels(n: int, k: int, d: int,
     on, as (size, winners, kept).  The winners are one labelled graph per
     class of diameter exactly d and connectivity >= k.  Up, ``kept``
     holds every class of diameter >= d, the winners among them; down,
-    the alive classes, all below d, except at the first level with a
-    winner, which keeps just the winners, ends the walk and never dedups
-    its graphs below d.  No level that keeps nothing is yielded."""
+    every class of diameter below d, whatever its connectivity, except at
+    the first level with a winner, which keeps just the winners, ends the
+    walk and never dedups its graphs below d.  No level that keeps
+    nothing is yielded."""
     if up:
         start = _trees(n, d) if d < n else []
         size, step = n - 1, 1
     else:
-        # K_n is alive iff n - 1 >= k
+        # no graph on n <= k vertices is k-connected
         full = (1 << n) - 1
         start = [tuple(full ^ 1 << v for v in range(n))] if n > k else []
         size, step = n * (n - 1) // 2, -1
-    # labelled graph -> its flood verdict and, down, the deleted edge
-    verdicts = {rows: (_flood(rows, d), None) for rows in start}
+    # labelled graph -> its flood verdict
+    verdicts = {rows: _flood(rows, d) for rows in start}
 
     def classes(*hits):
-        # one labelled graph per class among the flood verdicts
-        # ``hits``, with its verdict and deleted edge
-        return [(rows, verdicts[rows]) for rows in _classes(
-            [rows for rows, (hit, _) in verdicts.items() if hit in hits])]
-
-    def k_connected(rows, edge):
-        # kappa >= k; every graph that passed the flood is connected
-        if k == 1:
-            return True
-        return (_keeps_k_paths(rows, k, *edge) if edge
-                else is_k_connected(Graph(n, rows), k))
+        # one labelled graph per class among the flood verdicts ``hits``
+        return _classes([rows for rows, hit in verdicts.items()
+                         if hit in hits])
 
     while True:
-        # kappa runs once per class, on the exact-d ones first
+        # kappa runs once per class of diameter exactly d; every graph
+        # that passed the flood is connected
         exact = classes(True, None) if up else classes(True)
-        winners = [rows for rows, (hit, edge) in exact
-                   if hit and k_connected(rows, edge)]
+        winners = [rows for rows in exact if verdicts[rows] and (
+            k == 1 or is_k_connected(Graph(n, rows), k))]
         if up:
-            kept = [rows for rows, _ in exact]
+            kept = exact
         elif winners:
             yield size, winners, winners
             return
         else:
-            kept = [rows for rows, (_, edge) in classes(False)
-                    if k_connected(rows, edge)]
+            kept = classes(False)
         if not kept:
             return
         yield size, winners, kept
@@ -275,8 +255,7 @@ def _levels(n: int, k: int, d: int,
                 # a child the filter drops is not stored: a later copy
                 # of it may have moved its top-key pair
                 if child not in verdicts and _top_move(child, u, v, up):
-                    verdicts[child] = (_flood(child, d),
-                                       None if up else (u, v))
+                    verdicts[child] = _flood(child, d)
 
 
 def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:

@@ -9,20 +9,20 @@ holds one labelled graph per class that the next level grows from, and
 * up, ``_levels(n, 1, 1, True)``: every connected graph has diameter
   >= 1, so the levels from the trees at size n - 1 to K_n keep every
   connected class of their size.
-* down, ``_levels(n, k, n - 1, False)``: from K_n through the alive
-  graphs, which at diameter n - 1 are all the k-connected ones, so every
-  level keeps every k-connected class of its size.  At k = 1 the first
-  level with a winner is size n - 1, which keeps the path alone, its
-  one class of diameter n - 1, and ends the climb.  At k >= 2 no class
-  of diameter n - 1 is k-connected, so the climb walks down to the last
-  level that keeps a class.
+* down, ``_levels(n, 1, n - 1, False)``: from K_n through every class
+  of diameter below n - 1, which at sizes >= n is every connected class
+  of its size.  The first level with a winner is size n - 1, which
+  keeps the path alone, its one class of diameter n - 1, and ends the
+  climb.
 
+``k_connected`` keeps the k-connected classes of a census by the
+climbs' one connectivity rule, ``is_k_connected`` once per class.
 The counts share nothing with the package: connected graphs are OEIS
 A001349, trees A000055, 2-connected graphs A002218 and 3-connected
 graphs A006290.  Run as a script, ``PYTHONPATH=src python
-tests/census.py N`` walks the up census and the down census at k = 1,
-2 and 3 at order N, prints the count per size of each, and exits 1 on
-any count that differs from the published one.
+tests/census.py N`` walks the up and the down census at order N, counts
+the 2- and 3-connected classes of the up one, prints the count per size
+of each, and exits 1 on any count that differs from the published one.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from __future__ import annotations
 import sys
 from math import comb
 
+from oremax.graphs import Graph
+from oremax.metrics import is_k_connected
 from oremax.oracle import _levels
 
 #: connected graphs on n vertices, OEIS A001349, n = 1..9
@@ -45,35 +47,48 @@ K_CONNECTED = {
 }
 
 
-def census(n: int, up: bool, k: int = 1) -> dict[int, list[tuple[int, ...]]]:
+def census(n: int, up: bool) -> dict[int, list[tuple[int, ...]]]:
     """The classes, as labelled rows, that one climb over every connected
-    graph of order n (up), or over every k-connected one (down), keeps
-    at each size."""
-    levels = _levels(n, 1, 1, True) if up else _levels(n, k, n - 1, False)
+    graph of order n keeps at each size."""
+    levels = _levels(n, 1, 1, True) if up else _levels(n, 1, n - 1, False)
     return {size: kept for size, _, kept in levels}
+
+
+def k_connected(classes: dict[int, list[tuple[int, ...]]],
+                k: int) -> dict[int, list[tuple[int, ...]]]:
+    """The classes of a census that ``is_k_connected`` passes, by size."""
+    return {size: [rows for rows in kept
+                   if is_k_connected(Graph(len(rows), rows), k)]
+            for size, kept in classes.items()}
+
+
+def sizes(classes: dict[int, list[tuple[int, ...]]]) -> dict[int, int]:
+    """The number of classes of a census at each size."""
+    return {size: len(kept) for size, kept in classes.items()}
 
 
 def main(argv: list[str]) -> int:
     (n,) = map(int, argv)
-    top = comb(n, 2) + 1
+    up = census(n, True)
+    # each count per size, the least size of its published total and
+    # that total; the up census is let go before the down one is walked
+    checks = [("up", sizes(up), n - 1, CONNECTED[n]),
+              *((f"up k={k}", sizes(k_connected(up, k)), n - 1,
+                 K_CONNECTED[k][n]) for k in (2, 3))]
+    del up
+    checks.append(("down", sizes(census(n, False)), n,
+                   CONNECTED[n] - TREES[n]))
     failed = False
-    # each climb's class total at the sizes of its range, and the one
-    # count it may keep outside that range: the path, down at k = 1
-    for up, k, sizes, want in [
-            (True, 1, range(n - 1, top), CONNECTED[n]),
-            (False, 1, range(n, top), CONNECTED[n] - TREES[n]),
-            (False, 2, range(n, top), K_CONNECTED[2][n]),
-            (False, 3, range(n, top), K_CONNECTED[3][n])]:
-        name = "up" if up else f"down k={k}"
-        counts = {size: len(kept) for size, kept in census(n, up, k).items()}
+    for name, counts, least, want in checks:
         for size, count in sorted(counts.items()):
             print(f"{n}\t{name}\t{size}\t{count}")
-        total = sum(counts.get(size, 0) for size in sizes)
-        print(f"{n}\t{name}\tsizes {sizes[0]}..{sizes[-1]}\t{total}\t"
+        total = sum(m for size, m in counts.items() if size >= least)
+        print(f"{n}\t{name}\tsizes {least}..{comb(n, 2)}\t{total}\t"
               f"published\t{want}")
-        rest = {size: m for size, m in counts.items() if size not in sizes}
+        # the one count outside that range: the path, down
+        rest = {size: m for size, m in counts.items() if size < least}
         failed |= total != want or rest != (
-            {n - 1: 1} if (up, k) == (False, 1) else {})
+            {n - 1: 1} if name == "down" else {})
     return int(failed)
 
 

@@ -9,7 +9,7 @@ from math import comb
 import networkx as nx
 import pytest
 
-from census import CONNECTED, K_CONNECTED, TREES, census
+from census import CONNECTED, K_CONNECTED, TREES, census, k_connected
 from oremax.graphs import bits
 from oremax.oracle import _trees
 
@@ -62,11 +62,10 @@ def test_census_matches_the_atlas_by_size_and_diameter(n):
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("n", range(3, 9))
 def test_k_census_counts_every_k_connected_class(n, k):
-    # with k >= 2 no class of diameter n - 1 wins, so the down climb
-    # walks every k-connected class, each of size >= n
-    down = census(n, False, k)
-    assert set(down) <= set(range(n, comb(n, 2) + 1))
-    assert sum(map(len, down.values())) == K_CONNECTED[k].get(n, 0)
+    # the climbs test kappa by is_k_connected alone, once per class: over
+    # the up census it must pass exactly the k-connected classes
+    up = k_connected(census(n, True), k)
+    assert sum(map(len, up.values())) == K_CONNECTED[k].get(n, 0)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -75,6 +74,6 @@ def test_k_census_matches_the_atlas_by_size_and_diameter(n, k):
     atlas = by_size_and_diameter(
         g for g in nx.graph_atlas_g()
         if g.number_of_nodes() == n and nx.node_connectivity(g) >= k)
-    down = census(n, False, k)
+    up = k_connected(census(n, True), k)
     assert by_size_and_diameter(
-        to_nx(rows) for kept in down.values() for rows in kept) == atlas
+        to_nx(rows) for kept in up.values() for rows in kept) == atlas

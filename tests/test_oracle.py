@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from bruteforce import (brute_vertex_connectivity, candidate_ok, cells,
-                        dedup_canonical, edges, fw_diameter, is_isomorphic,
+                        dedup_canonical, fw_diameter, is_isomorphic,
                         keep_masks, labelled_search, random_graph,
                         ref_canonical_code, relabel, scan_level)
 from oremax import (DISCONNECTED, CapacityError, ParameterError, Parameters,
@@ -17,8 +17,8 @@ from oremax import oracle
 from oremax.graphs import (CanonicalForm, Graph, _certificate, _invariant,
                           bit_code, from_bit_code, from_edges,
                           relabeling_codes)
-from oremax.oracle import (_climb, _deletions, _flood, _keeps_k_paths,
-                           _top_move, _trees)
+from oremax.oracle import (_climb, _deletions, _flood, _levels, _top_move,
+                           _trees)
 
 #: every (n, k, d) that ``sweep(7)`` verifies
 SWEEP_7 = [(n, k, d) for n in range(3, 8) for k in range(1, 8)
@@ -41,28 +41,23 @@ def test_candidate_ok_equals_public_invariants():
 
 
 def test_alive_screen_equals_public_invariants():
-    # alive: kappa >= k and diameter <= d; the verdict says diameter == d.
-    # The down climb meets g only as an alive g + uv less its edge uv:
-    # if g + uv is not k-connected neither is g, and if it is, one u-v
-    # flow decides
+    # alive: diameter <= d; the verdict says diameter == d and kappa >= k,
+    # which the down climb tests by is_k_connected on the exact-d graphs
     rng = random.Random(3141)
     for _ in range(250):
         n = rng.randrange(4, 8)
         g = random_graph(rng, n, rng.random())
         k = rng.randrange(1, min(3, n - 1) + 1)
         d = rng.randrange(2, 5)
-        got = _flood(g.rows, d)
-        missing = [e for e in cells(n) if not g.has_edge(*e)]
-        if got is not None and missing:
-            u, v = missing[0]
-            if not (is_k_connected(from_edges(n, [(u, v), *edges(g)]), k)
-                    and _keeps_k_paths(g.rows, k, u, v)):
-                got = None
+        exact = _flood(g.rows, d)
+        got = None if exact is None else (
+            exact is True and is_k_connected(g, k))
         dia = fw_diameter(g)
-        if dia is DISCONNECTED or dia > d or not is_k_connected(g, k):
+        if dia is DISCONNECTED or dia > d:
             assert got is None, (to_graph6(g), k, d)
         else:
-            assert got == (dia == d), (to_graph6(g), k, d)
+            assert got == (dia == d and is_k_connected(g, k)), (
+                to_graph6(g), k, d)
 
 
 def test_far_screen_equals_public_invariants():
@@ -83,26 +78,6 @@ def test_far_screen_equals_public_invariants():
         else:
             assert got == (dia == d and is_k_connected(g, k)), (
                 to_graph6(g), k, d)
-
-
-def test_edge_lemma_matches_brute_connectivity():
-    # for G with kappa(G) >= k, the down climb's verdict on G - uv, one
-    # u-v flow, against the subset scan on G - uv
-    rng = random.Random(4669)
-    verdicts = set()
-    for _ in range(80):
-        n = rng.randrange(3, 9)
-        g = random_graph(rng, n, rng.uniform(0.4, 1.0))
-        top = min(4, brute_vertex_connectivity(g))
-        for u, v in (e for e in cells(n) if g.has_edge(*e)):
-            child = from_edges(n, [e for e in cells(n)
-                                   if g.has_edge(*e) and e != (u, v)])
-            kappa = brute_vertex_connectivity(child)
-            for k in range(1, top + 1):
-                assert _keeps_k_paths(child.rows, k, u, v) == (kappa >= k), (
-                    to_graph6(g), u, v, k)
-                verdicts.add((k, kappa >= k))
-    assert verdicts == {(k, ok) for k in range(1, 5) for ok in (False, True)}
 
 
 def test_twin_deletions_reach_every_child_class():
@@ -199,13 +174,14 @@ def counting_moves(monkeypatch, n):
 
 
 def test_budget_counts_edge_deletions(monkeypatch):
-    # the edge moves the removed budget counted: (6,2,3) deletes 82
-    # edges of alive classes over levels 1..5
+    # the edge moves the removed budget counted: (6,2,3) deletes 85
+    # edges of alive classes over levels 1..5.  Level 4 keeps its class
+    # of kappa 1 too, whose 3 moves level 5 tries
     tried = counting_moves(monkeypatch, 6)
     r = max_size_bruteforce(Parameters(6, 2, 3))
     assert r.max_size == 10
-    assert tried == {1: 1, 2: 2, 3: 8, 4: 23, 5: 48}
-    assert sum(tried.values()) == 82
+    assert tried == {1: 1, 2: 2, 3: 8, 4: 23, 5: 51}
+    assert sum(tried.values()) == 85
 
 
 def test_budget_counts_edge_additions_on_an_up_climb(monkeypatch):
@@ -303,26 +279,22 @@ def test_climb_canonicalises_only_the_winners(monkeypatch):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_down_climb_tests_kappa_once_per_class(monkeypatch, k):
-    # (8,2,3) and (8,3,3): kappa runs on one labelled graph per class of
-    # each level, never once per labelled child
+    # (8,2,3) and (8,3,3): kappa runs once per class of diameter exactly
+    # 3, on the 3 such classes of the answer level, never once per
+    # labelled child and never on a graph of smaller diameter
     tested = []
-
-    def recording_paths(rows, *args):
-        tested.append(rows)
-        return _keeps_k_paths(rows, *args)
 
     def recording_kappa(g, *args):
         tested.append(g.rows)
         return is_k_connected(g, *args)
 
-    monkeypatch.setattr(oracle, "_keeps_k_paths", recording_paths)
     monkeypatch.setattr(oracle, "is_k_connected", recording_kappa)
     max_size, extremal = _climb(8, k, 3, False)
-    assert max_size is not None and extremal
-    classes = [(sum(row.bit_count() for row in rows), _certificate(rows))
-               for rows in tested]
-    assert len(tested) > 20
-    assert len(set(classes)) == len(classes)
+    assert (max_size, len(extremal)) == (21, {2: 2, 3: 1}[k])
+    assert all(diameter(Graph(8, rows)) == 3 for rows in tested)
+    classes = {(sum(row.bit_count() for row in rows), _certificate(rows))
+               for rows in tested}
+    assert len(classes) == len(tested) == 3
 
 
 def test_invariant_ignores_labels():
@@ -461,47 +433,61 @@ def test_climb_matches_full_enumeration():
                 ref_canonical_code(g) for g in maximizers}
 
 
-def test_climb_levels_hold_every_class(monkeypatch):
-    # each level's classes against every labelled graph of order <= 6,
-    # deduped by orbit listing: up, the connected classes of diameter
-    # >= d; down, the alive ones above the answer level and the
-    # maximizers at it, once the classes with kappa < k are set aside.
-    # The level dedup takes the invariant of every graph it is handed,
-    # and certifies only those whose invariant another one shares
-    certified = {}
+def test_climb_levels_hold_every_class():
+    # each level of _levels against every labelled graph of order <= 6,
+    # deduped by orbit listing.  Up, kept holds the connected classes of
+    # diameter >= d; down, every connected class of diameter < d above
+    # the answer level, whatever its kappa, and the maximizers at it.
+    # The winners are the classes of diameter d and kappa >= k, down
+    # only at the answer level
+    def forms(graphs):
+        # the canonical forms of one labelled graph per class
+        texts = [canonical_form(Graph(len(rows), rows)).g6 for rows in graphs]
+        assert len(set(texts)) == len(texts)
+        return set(texts)
 
-    def recording_invariant(rows):
-        g = Graph(len(rows), rows)
-        certified.setdefault((g.order, g.size), set()).add(
-            canonical_form(g).g6)
-        return _invariant(rows)
-
-    monkeypatch.setattr(oracle, "_invariant", recording_invariant)
     for n in range(3, 7):
         table = {}
         for text in dedup_canonical(n, list(range(1 << comb(n, 2)))):
             g = from_graph6(text)
-            table[text] = (g.size, fw_diameter(g),
+            dia = fw_diameter(g)
+            table[text] = (g.size, None if dia is DISCONNECTED else dia,
                            brute_vertex_connectivity(g))
         for k, d in [(k, d) for order, k, d in SWEEP_7 if order == n]:
             for up in (False, True):
-                certified.clear()
+                levels = {size: (forms(winners), forms(kept))
+                          for size, winners, kept in _levels(n, k, d, up)}
                 max_size, _ = _climb(n, k, d, up)
                 top = -1 if max_size is None else max_size
                 for size in range(comb(n, 2) + 1):
-                    got = certified.get((n, size), set())
+                    got = levels.get(size, (set(), set()))
+                    best = {t for t, (m, dia, kappa) in table.items()
+                            if m == size and dia == d and kappa >= k}
                     if up:
-                        want = {t for t, (m, dia, _) in table.items()
-                                if m == size and dia is not DISCONNECTED
-                                and dia >= d}
+                        want = best, {t for t, (m, dia, _) in table.items()
+                                      if m == size and dia is not None
+                                      and dia >= d}
+                    elif size > top:
+                        want = set(), {t for t, (m, dia, _) in table.items()
+                                       if m == size and dia is not None
+                                       and dia < d}
                     else:
-                        # the flood passes children with kappa < k too
-                        got = {t for t in got if table[t][2] >= k}
-                        want = {t for t, (m, dia, kappa) in table.items()
-                                if m == size and kappa >= k
-                                and (dia < d if size > top
-                                     else size == top and dia == d)}
+                        want = (best, best) if size == top else (set(), set())
                     assert got == want, (n, k, d, up, size)
+
+
+def test_down_levels_above_the_answer_ignore_k():
+    # the down walk keeps every class of diameter below d until a level
+    # holds a winner, so the walks for k = 1, 2 and 3 keep the same
+    # labelled classes, some of kappa 1, down to the k = 1 answer level,
+    # the first of the three to stop
+    for n in range(6, 9):
+        above = [{size: kept for size, winners, kept in _levels(n, k, 3, False)
+                  if not winners} for k in (1, 2, 3)]
+        assert not all(is_k_connected(Graph(n, rows), 2)
+                       for kept in above[0].values() for rows in kept)
+        for walk in above[1:]:
+            assert {size: walk[size] for size in above[0]} == above[0], n
 
 
 def test_labelled_scan_matches_full_enumeration():
