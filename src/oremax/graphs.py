@@ -57,6 +57,8 @@ MAX_ORDER = 62
 CANONICAL_MAX_ORDER = 10
 
 _GRAPH6_HEADER = ">>graph6<<"
+#: ``str.translate`` table: each graph6 data character to its six bits
+_GRAPH6_BITS = {63 + group: f"{group:06b}" for group in range(64)}
 
 
 @dataclass(frozen=True)
@@ -504,13 +506,13 @@ def from_graph6(text: str | bytes) -> Graph:
     if len(data) > need:
         raise Graph6ParseError("trailing bytes after adjacency data",
                                base + 1 + need)
-    code = 0
-    for ofs, ch in enumerate(data):
-        group = ord(ch) - 63
-        if not 0 <= group < 64:
-            raise Graph6ParseError(f"byte {ch!r} outside graph6 range",
-                                   base + 1 + ofs)
-        code = code << 6 | group
+    digits = data.translate(_GRAPH6_BITS)
+    if len(digits) < 6 * need:  # an unmapped character stays one long
+        ofs = next(ofs for ofs, ch in enumerate(data)
+                   if ord(ch) not in _GRAPH6_BITS)
+        raise Graph6ParseError(f"byte {data[ofs]!r} outside graph6 range",
+                               base + 1 + ofs)
+    code = int(digits or "0", 2)
     pad = 6 * need - n_cells
     if code & ((1 << pad) - 1):  # padding lies in the last byte
         raise Graph6ParseError("non-zero padding bits", base + need)

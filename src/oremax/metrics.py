@@ -5,8 +5,8 @@ graphs (one depth-capped flood per vertex, taken one layer further each
 time the cap is raised until it covers the graph; a flood that dies
 short of it finds the graph disconnected; a flood that covers the graph
 short of its depth skips the source's neighbours, whose eccentricities
-are at most one more: ``_diameter``, the ratchet the oracle's screen
-runs from d - 1 with cap d),
+are at most one more: ``_diameter``, run from a mask of sources, every
+vertex for ``diameter``, and by the oracle's screen from d - 1 with cap d),
 ``layer_structure_check`` (is the graph the complete layered graph on
 its BFS layers, as :func:`oremax.graphs.layered_rows` writes it), and
 vertex connectivity by Menger's theorem: the maximum number of
@@ -126,15 +126,17 @@ def is_connected(g: Graph) -> bool:
     return reach(g.rows, 1)[0] == (1 << g.order) - 1
 
 
-def _diameter(rows: Sequence[int], best: int, cap: int) -> int | None:
-    # max(best, diameter), or None once that would pass ``cap`` or a
-    # flood dies short of the graph; best <= cap.  The flood from v at
-    # depth best misses a vertex iff v's eccentricity exceeds best, and
-    # each raise of best takes that flood one layer further.  A flood
-    # that covers the graph and stops short of depth best shows
-    # ecc(v) < best, so no neighbour w of v, with ecc(w) <= ecc(v) + 1,
-    # can raise best: they leave ``todo`` unflooded (Takes & Kosters).
-    todo = full = (1 << len(rows)) - 1
+def _diameter(rows: Sequence[int], best: int, cap: int,
+              todo: int) -> int | None:
+    # max(best, the greatest eccentricity of a source in the non-empty
+    # mask ``todo``), or None once that would pass ``cap`` or a flood
+    # dies short of the graph; best <= cap.  The flood from v at depth
+    # best misses a vertex iff v's eccentricity exceeds best, and each
+    # raise of best takes that flood one layer further.  A flood that
+    # covers the graph and stops short of depth best shows ecc(v) <
+    # best, so no neighbour w of v, with ecc(w) <= ecc(v) + 1, can
+    # raise best: they leave ``todo`` unflooded (Takes & Kosters).
+    full = (1 << len(rows)) - 1
     while todo:
         v = (todo & -todo).bit_length() - 1
         reached, frontier = reach(rows, 1 << v, depth=best)
@@ -152,7 +154,7 @@ def diameter(g: Graph) -> int | Disconnected:
     """Greatest distance between two vertices, or DISCONNECTED."""
     if g.order == 0:
         raise ParameterError("diameter undefined for order-0 graph")
-    dia = _diameter(g.rows, 0, g.order - 1)
+    dia = _diameter(g.rows, 0, g.order - 1, (1 << g.order) - 1)
     return DISCONNECTED if dia is None else dia
 
 

@@ -45,6 +45,10 @@ top key.
 
 Each child kept gets one screen, ``metrics``' diameter ratchet run from
 d - 1 and capped at d, which tells a diameter below, at or above d.
+Up it floods from every vertex.  Down, the parent's diameter is below
+d, so only a pair with a shortest path through the deleted edge uv can
+reach d, and one of its ends lies within (d - 2) // 2 of u or v: the
+flood runs from those vertices alone, u and v at d <= 3.
 The children it keeps are deduped first by a cheap invariant,
 ``graphs._invariant``, the sorted pairs (deg v, sum of the degrees of
 v's neighbours).  A child whose invariant no other child of its level
@@ -125,10 +129,14 @@ class OracleReport:
         }
 
 
-def _flood(rows: tuple[int, ...], d: int) -> bool | None:
+def _flood(rows: tuple[int, ...], d: int, todo: int) -> bool | None:
     """The climbs' one screen, the diameter ratchet from d - 1 capped
-    at d: None if the diameter is above d, else whether it is exactly d."""
-    best = _diameter(rows, d - 1, d)
+    at d, run from the sources in ``todo``: None if one has eccentricity
+    above d, else whether one has exactly d.  Up, every vertex is a
+    source; down, those within (d - 2) // 2 of the pair uv just deleted
+    from a parent of diameter < d: a pair the deletion moves had a
+    shortest path x..u-v..y there, so d(x, u) + d(v, y) <= d - 2."""
+    best = _diameter(rows, d - 1, d, todo)
     return None if best is None else best == d
 
 
@@ -211,17 +219,18 @@ def _levels(n: int, k: int, d: int,
     every class of diameter below d, whatever its connectivity, except at
     the first level with a winner, which keeps just the winners, ends the
     walk and never dedups its graphs below d.  No level that keeps
-    nothing is yielded."""
+    nothing is yielded.  A down child is flooded only near the pair
+    deleted from its parent (see ``_flood``), any other from every vertex."""
+    full = (1 << n) - 1
     if up:
         start = _trees(n, d) if d < n else []
         size, step = n - 1, 1
     else:
         # no graph on n <= k vertices is k-connected
-        full = (1 << n) - 1
         start = [tuple(full ^ 1 << v for v in range(n))] if n > k else []
         size, step = n * (n - 1) // 2, -1
     # labelled graph -> its flood verdict
-    verdicts = {rows: _flood(rows, d) for rows in start}
+    verdicts = {rows: _flood(rows, d, full) for rows in start}
 
     def classes(*hits):
         # one labelled graph per class among the flood verdicts ``hits``
@@ -255,7 +264,8 @@ def _levels(n: int, k: int, d: int,
                 # a child the filter drops is not stored: a later copy
                 # of it may have moved its top-key pair
                 if child not in verdicts and _top_move(child, u, v, up):
-                    verdicts[child] = _flood(child, d)
+                    verdicts[child] = _flood(child, d, full if up else reach(
+                        rows, 1 << u | 1 << v, depth=(d - 2) // 2)[0])
 
 
 def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:

@@ -587,6 +587,9 @@ def test_graph6_parse_errors():
         ("B", "truncated: expected 1 data bytes, got 0", 1),
         ("A_o", "trailing bytes after adjacency data", 2),
         ("A" + chr(62), "byte '>' outside graph6 range", 1),
+        # int(..., 2) would read these two as binary digits
+        ("A0", "byte '0' outside graph6 range", 1),
+        ("D?1", "byte '1' outside graph6 range", 2),
         ("Ao", "non-zero padding bits", 1),
         ("Bx", "non-zero padding bits", 1),  # three padding bits, last set
         (chr(127) + "x", "invalid order byte '\\x7f'", 0),

@@ -133,10 +133,37 @@ def test_diameter_ratchet_matches_floyd_warshall():
             want, case = None, "over cap"
         else:
             want, case = max(best, dia), "floor" if best > dia else "diameter"
-        assert metrics._diameter(g.rows, best, cap) == want, (
+        assert metrics._diameter(g.rows, best, cap, (1 << n) - 1) == want, (
             to_graph6(g), best, cap)
         seen.add(case)
     assert seen == {"disconnected", "over cap", "floor", "diameter"}
+
+
+def test_diameter_ratchet_from_a_source_mask_matches_floyd_warshall():
+    # from the sources in todo: max(best, their greatest eccentricity)
+    # while that is at most cap, else None; None too if disconnected
+    rng = random.Random(3517)
+    seen = set()
+    for _ in range(2500):
+        n = rng.randrange(1, 9)
+        g = random_graph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.8, 0.95]))
+        todo = rng.randrange(1, 1 << n)
+        cap = rng.randrange(n + 1)
+        best = rng.randrange(cap + 1)
+        dist = fw_distances(g)
+        ecc = max(max(dist[v]) for v in bits(todo))
+        if fw_diameter(g) is DISCONNECTED:
+            want, case = None, "disconnected"
+        elif max(best, ecc) > cap:
+            want, case = None, "over cap"
+        else:
+            want = max(best, ecc)
+            case = "below the diameter" if want < fw_diameter(g) else "exact"
+        assert metrics._diameter(g.rows, best, cap, todo) == want, (
+            to_graph6(g), best, cap, bin(todo))
+        seen.add(case)
+    assert seen == {"disconnected", "over cap", "below the diameter",
+                    "exact"}
 
 
 class CountingRows(tuple):
@@ -155,7 +182,7 @@ def test_diameter_ratchet_reads_each_row_once_per_source(monkeypatch):
     # read about 62^2 / 2 rows by itself
     rows = CountingRows(path(62).rows)
     monkeypatch.setattr(CountingRows, "reads", 0)
-    assert metrics._diameter(rows, 0, 61) == 61
+    assert metrics._diameter(rows, 0, 61, (1 << 62) - 1) == 61
     assert CountingRows.reads <= 62 * 62
 
 
@@ -170,7 +197,7 @@ def flooded_sources(monkeypatch, rows, best, cap):
         return flood(rows, seed, allowed, depth)
 
     monkeypatch.setattr(metrics, "reach", spy)
-    return metrics._diameter(rows, best, cap), sources
+    return metrics._diameter(rows, best, cap, (1 << len(rows)) - 1), sources
 
 
 def test_diameter_ratchet_skips_the_neighbours_of_a_central_vertex(

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -15,7 +16,7 @@ from oremax import (DISCONNECTED, CapacityError, ParameterError, Parameters,
                     max_size_bruteforce, sweep, to_graph6, verify_theorem)
 from oremax import oracle
 from oremax.graphs import (CanonicalForm, Graph, _certificate, _invariant,
-                          bit_code, from_bit_code, from_edges,
+                          bit_code, from_bit_code, from_edges, reach,
                           relabeling_codes)
 from oremax.oracle import (_climb, _deletions, _flood, _levels, _top_move,
                            _trees)
@@ -49,7 +50,7 @@ def test_alive_screen_equals_public_invariants():
         g = random_graph(rng, n, rng.random())
         k = rng.randrange(1, min(3, n - 1) + 1)
         d = rng.randrange(2, 5)
-        exact = _flood(g.rows, d)
+        exact = _flood(g.rows, d, (1 << n) - 1)
         got = None if exact is None else (
             exact is True and is_k_connected(g, k))
         dia = fw_diameter(g)
@@ -69,7 +70,7 @@ def test_far_screen_equals_public_invariants():
         g = random_graph(rng, n, rng.random())
         k = rng.randrange(1, min(3, n - 1) + 1)
         d = rng.randrange(2, 6)
-        exact = _flood(g.rows, d)
+        exact = _flood(g.rows, d, (1 << n) - 1)
         got = None if exact is False else (
             exact is True and is_k_connected(g, k))
         dia = fw_diameter(g)
@@ -237,7 +238,7 @@ def test_certificate_splits_climbed_graphs_like_canonical_form(monkeypatch):
     depth = 0
 
     def recording_top_move(rows, *args):
-        if _flood(rows, depth) is not None:
+        if _flood(rows, depth, (1 << len(rows)) - 1) is not None:
             visited.add(rows)
         return _top_move(rows, *args)
 
@@ -488,6 +489,44 @@ def test_down_levels_above_the_answer_ignore_k():
                        for kept in above[0].values() for rows in kept)
         for walk in above[1:]:
             assert {size: walk[size] for size in above[0]} == above[0], n
+
+
+def check_down_screens(n: int) -> int:
+    """Check the down screen's source masks on the full down closure of
+    order n, ``_levels(n, n - 1, d, False)`` for d = 2..n - 1, which
+    expands every class of diameter below d and finds no winner.  Every
+    mask the walk passes to ``_flood`` must give the verdict of the full
+    mask, and so must every child that ``_deletions`` makes from a class
+    it expands, flooded from the vertices within (d - 2) // 2 of the
+    deleted pair.  Returns the number of those children."""
+    full = (1 << n) - 1
+    flood = oracle._flood
+
+    def checked_flood(rows, d, todo):
+        verdict = flood(rows, d, todo)
+        assert verdict == flood(rows, d, full), (rows, d, bin(todo))
+        return verdict
+
+    children = 0
+    with mock.patch.object(oracle, "_flood", checked_flood):
+        for d in range(2, n):
+            for _, winners, kept in _levels(n, n - 1, d, False):
+                assert not winners, (n, d)
+                for rows in kept:
+                    for u, v in _deletions(rows, False):
+                        child = list(rows)
+                        child[u] ^= 1 << v
+                        child[v] ^= 1 << u
+                        checked_flood(tuple(child), d, reach(
+                            rows, 1 << u | 1 << v, depth=(d - 2) // 2)[0])
+                        children += 1
+    return children
+
+
+@pytest.mark.parametrize("n, children", [(5, 118), (6, 1502), (7, 23718)])
+def test_masked_down_screen_equals_the_full_one(n, children):
+    # the whole order-8 closure, 568,335 children, runs in CI
+    assert check_down_screens(n) == children
 
 
 def test_labelled_scan_matches_full_enumeration():
