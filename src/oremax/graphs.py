@@ -44,6 +44,7 @@ printed form is still the least code from :func:`canonical_form`.
 
 from __future__ import annotations
 
+from binascii import b2a_base64
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator, Sequence
@@ -59,6 +60,9 @@ CANONICAL_MAX_ORDER = 10
 _GRAPH6_HEADER = ">>graph6<<"
 #: ``str.translate`` table: each graph6 data character to its six bits
 _GRAPH6_BITS = {63 + group: f"{group:06b}" for group in range(64)}
+_GRAPH6_CHARS = bytes.maketrans(  # base64's alphabet to graph6's
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)))
 
 
 @dataclass(frozen=True)
@@ -458,12 +462,12 @@ def _invariant(rows: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 
 def _graph6(order: int, code: int) -> str:
+    # base64's six-bit groups offset by 63, over whole 24-bit quanta
     n_cells = order * (order - 1) // 2
-    pad = -n_cells % 6
-    code <<= pad
-    return chr(63 + order) + "".join(
-        chr(63 + (code >> shift & 63))
-        for shift in range(n_cells + pad - 6, -1, -6))
+    pad = -n_cells % 24
+    data = b2a_base64((code << pad).to_bytes((n_cells + pad) // 8, "big"),
+                      newline=False).translate(_GRAPH6_CHARS)
+    return chr(63 + order) + data[:(n_cells + 5) // 6].decode("ascii")
 
 
 def to_graph6(g: Graph) -> str:

@@ -6,15 +6,17 @@ answer against the closed-form modes and the generated family.
 
 The search walks the levels of a closed set of graphs one edge at a
 time and keeps, at each level, one graph per isomorphism class.  One
-loop, ``_levels``, yields the levels, and ``_climb`` reads its answer
-off them.  It runs in one of two directions:
+loop, ``_levels``, yields the levels, by n, d and direction alone, and
+``_climb``, its one reader, tests connectivity and stops it.  It runs
+in one of two directions:
 
 * down, for d <= 3: from the complete graph, deleting edges, through
   the *alive* graphs: those of diameter <= d.  Adding an edge never
   raises the diameter, so every graph between K_n and a maximizer is
   alive, and deleting each edge of every alive class reaches every
   alive class of the next level.  The first level that holds a class
-  of diameter exactly d and connectivity >= k gives the maximum.
+  of diameter exactly d and connectivity >= k gives the maximum and
+  ends the climb.
 * up, for d >= 4: from the trees of diameter >= d, adding edges,
   through the graphs of diameter >= d.  Every such graph has a spanning
   tree of diameter at least its own, and every graph between the two
@@ -57,7 +59,7 @@ partition-refinement certificate ``graphs._certificate`` (the order of
 work in McKay & Piperno, "Practical graph isomorphism II", J. Symb.
 Comput. 60, 2014).  The trees that seed the up climb share this dedup,
 ``_classes``, one order at a time.
-Connectivity >= k is then tested once per class of diameter exactly
+``_climb`` tests connectivity >= k once per class of diameter exactly
 d, by ``metrics.is_k_connected``, and on no other class.  At k = 1 the
 screen settles it: every graph it keeps is connected.  Only the
 maximizers, one per class, get a canonical form.
@@ -67,13 +69,12 @@ over every complement of each size, that shares none of its code.
 Every maximizer is checked again before it is reported: size, diameter
 and connectivity by ``metrics``, and that it is the least code of its
 orbit.  Up to order 6 that test takes the minimum over the whole orbit
-(``relabeling_codes``, no pruning, at most 720 codes); at orders 7 and
-8, where an orbit holds up to 40,320 codes, it recomputes the pruned
+(``relabeling_codes``, no pruning, at most 720 codes); at orders 7 to
+9, where an orbit holds up to 362,880 codes, it recomputes the pruned
 ``canonical_form`` and compares.
 
-The search's one guard is order 8: past it, CapacityError before any
-work.  Inside it, the largest climbs, (8,1,4) and (8,2,4), try 16,330
-edge moves each.
+The search's one guard is order 9: past it, CapacityError before any
+work.  Inside it, the largest climbs are (9,1,4) and (9,2,4), up.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator
+from functools import cache, partial
+from typing import Callable, Iterator
 
 from .errors import CapacityError, ParameterError
 from .extremal import (FormulaMode, Parameters, backbone_order,
@@ -91,7 +93,7 @@ from .graphs import (Graph, _certificate, _invariant, bit_code, bits,
                      reach, relabeling_codes, to_graph6)
 from .metrics import _diameter, diameter, is_k_connected
 
-DEFAULT_ORDER_GUARD = 8
+DEFAULT_ORDER_GUARD = 9
 #: up to this order (at most 6! = 720 codes) the post-check lists each
 #: maximizer's whole orbit; above it, it recomputes the canonical form
 _ORBIT_LIST_ORDER = 6
@@ -210,24 +212,22 @@ def _trees(n: int, d: int) -> list[tuple[int, ...]]:
     return trees
 
 
-def _levels(n: int, k: int, d: int,
-            up: bool) -> Iterator[tuple[int, list[tuple], list[tuple]]]:
+def _levels(n: int, d: int,
+            up: bool) -> Iterator[tuple[int, list[tuple], Callable[[], list]]]:
     """The levels of one closure, one edge apart, from the start level
-    on, as (size, winners, kept).  The winners are one labelled graph per
-    class of diameter exactly d and connectivity >= k.  Up, ``kept``
-    holds every class of diameter >= d, the winners among them; down,
-    every class of diameter below d, whatever its connectivity, except at
-    the first level with a winner, which keeps just the winners, ends the
-    walk and never dedups its graphs below d.  No level that keeps
-    nothing is yielded.  A down child is flooded only near the pair
-    deleted from its parent (see ``_flood``), any other from every vertex."""
+    on, as (size, exact, kept).  ``exact`` holds one labelled graph per
+    class of diameter exactly d.  ``kept()`` gives the classes the next
+    level grows from: up, every class of diameter >= d, ``exact`` among
+    them; down, every class of diameter below d, deduped only when the
+    reader asks for the next level.  A down child is flooded only near
+    the pair deleted from its parent (see ``_flood``), any other from
+    every vertex."""
     full = (1 << n) - 1
     if up:
         start = _trees(n, d) if d < n else []
         size, step = n - 1, 1
     else:
-        # no graph on n <= k vertices is k-connected
-        start = [tuple(full ^ 1 << v for v in range(n))] if n > k else []
+        start = [tuple(full ^ 1 << v for v in range(n))]
         size, step = n * (n - 1) // 2, -1
     # labelled graph -> its flood verdict
     verdicts = {rows: _flood(rows, d, full) for rows in start}
@@ -237,25 +237,16 @@ def _levels(n: int, k: int, d: int,
         return _classes([rows for rows, hit in verdicts.items()
                          if hit in hits])
 
-    while True:
-        # kappa runs once per class of diameter exactly d; every graph
-        # that passed the flood is connected
-        exact = classes(True, None) if up else classes(True)
-        winners = [rows for rows in exact if verdicts[rows] and (
-            k == 1 or is_k_connected(Graph(n, rows), k))]
+    while verdicts:
         if up:
-            kept = exact
-        elif winners:
-            yield size, winners, winners
-            return
+            kept = classes(True, None).copy
+            exact = [rows for rows in kept() if verdicts[rows]]
         else:
-            kept = classes(False)
-        if not kept:
-            return
-        yield size, winners, kept
+            exact, kept = classes(True), cache(partial(classes, False))
+        yield size, exact, kept
         size += step
-        verdicts = {}
-        for rows in kept:
+        parents, verdicts = kept(), {}
+        for rows in parents:
             for u, v in _deletions(rows, up):
                 child = list(rows)
                 child[u] ^= 1 << v
@@ -270,13 +261,20 @@ def _levels(n: int, k: int, d: int,
 
 def _climb(n: int, k: int, d: int, up: bool) -> tuple[int | None, list[str]]:
     """The maximum size and the sorted canonical graph6 strings of the
-    maximizers, the winners of the last level of ``_levels`` that has
-    any, or (None, []) if no graph qualifies.  Only those winners, one
-    per class, pay for a canonical form."""
+    maximizers, the classes of ``exact`` with connectivity >= k at the
+    last level of ``_levels`` that has any, or (None, []) if no graph
+    qualifies.  Down, that is the first such level, which stops the
+    walk.  Only the maximizers, one per class, pay for a canonical
+    form."""
     max_size, winners = None, []
-    for size, found, _ in _levels(n, k, d, up):
+    for size, exact, _ in _levels(n, d, up):
+        # every graph that passed the flood is connected
+        found = [rows for rows in exact
+                 if k == 1 or is_k_connected(Graph(n, rows), k)]
         if found:
             max_size, winners = size, found
+            if not up:
+                break
     return max_size, sorted(canonical_form(Graph(n, rows)).g6
                             for rows in winners)
 

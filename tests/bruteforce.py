@@ -2,7 +2,8 @@
 
 Deliberately dumb: all-pairs relaxation for distances and the layer
 structure, an edge list for the complete layered graph, subset
-enumeration for cuts, full permutation scans for canonical codes, the
+enumeration for cuts, full permutation scans for canonical codes, one
+character per six-bit group for graph6, the
 individualisation-refinement tree with no pruning for the certificate,
 networkx for isomorphism, and the labelled scan over every complement
 of each size for the oracle's maximum and maximizers.  They share no
@@ -229,6 +230,17 @@ def _code_rows(order: int, code: int) -> list[int]:
             rows[j] |= 1 << i
         code >>= 1
     return rows
+
+
+def ref_graph6(order: int, code: int) -> str:
+    """graph6 line of the cell-order ``code``: one character per six-bit
+    group, zero-padded on the right."""
+    n_cells = order * (order - 1) // 2
+    pad = -n_cells % 6
+    code <<= pad
+    return chr(63 + order) + "".join(
+        chr(63 + (code >> shift & 63))
+        for shift in range(n_cells + pad - 6, -1, -6))
 
 
 def ref_canonical_code(g: Graph) -> int:

@@ -1,7 +1,8 @@
 """The climbs' class counts against published graph counts (see
 ``census``): connected, 2-connected and 3-connected graphs, trees, and
 at orders up to 7 every graph of networkx's atlas, by size and
-diameter."""
+diameter; and, up to order 7, every walk and every answer of the
+oracle against the census."""
 
 from collections import Counter
 from math import comb
@@ -9,7 +10,8 @@ from math import comb
 import networkx as nx
 import pytest
 
-from census import CONNECTED, K_CONNECTED, TREES, census, k_connected
+from census import (CONNECTED, K_CONNECTED, TREES, census, check_answers,
+                    check_walks, graded, k_connected, levels)
 from oremax.graphs import bits
 from oremax.oracle import _trees
 
@@ -30,12 +32,13 @@ def test_census_counts_every_connected_class(n):
     assert sorted(up) == list(range(n - 1, comb(n, 2) + 1))
     assert len(up[n - 1]) == TREES[n]
     assert sum(map(len, up.values())) == CONNECTED[n]
-    # down holds the same classes at every size >= n, and the path alone
-    # at n - 1, where it stops
-    down = census(n, False)
-    assert {size: len(kept) for size, kept in down.items() if size >= n} == \
-        {size: len(kept) for size, kept in up.items() if size >= n}
-    (path,) = down[n - 1]
+    # down keeps every connected class but the path, which is the one
+    # class of diameter n - 1
+    walk = levels(n, n - 1, False)
+    for size, kept in up.items():
+        assert len(walk[size][1]) == len(kept) - (size == n - 1), size
+    assert [size for size, (exact, _) in walk.items() if exact] == [n - 1]
+    (path,) = walk[n - 1][0]
     assert nx.diameter(to_nx(path)) == n - 1
 
 
@@ -55,8 +58,7 @@ def test_census_matches_the_atlas_by_size_and_diameter(n):
     down = census(n, False)
     assert by_size_and_diameter(
         to_nx(rows) for kept in down.values() for rows in kept) == \
-        atlas - Counter({key: m for key, m in atlas.items()
-                         if key[0] == n - 1}) + Counter({(n - 1, n - 1): 1})
+        atlas - Counter({(n - 1, n - 1): 1})
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -77,3 +79,13 @@ def test_k_census_matches_the_atlas_by_size_and_diameter(n, k):
     up = k_connected(census(n, True), k)
     assert by_size_and_diameter(
         to_nx(rows) for kept in up.values() for rows in kept) == atlas
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_census_referees_every_walk_and_every_answer(n):
+    # every d-restricted walk and every answer, both directions; order 8
+    # runs in CI, its answers in the oracle's direction
+    table = graded(n)
+    assert len(table) == CONNECTED[n]
+    check_walks(n, table)
+    check_answers(n, table, both=True)

@@ -357,7 +357,7 @@ def test_non_ascii_input_file_exits_2(tmp_path, capsys):
 
 
 def test_capacity_exits_4(capsys):
-    assert run(["oracle", "--n", "9", "--k", "1", "--d", "2"]) == 4
+    assert run(["oracle", "--n", "10", "--k", "1", "--d", "2"]) == 4
     assert run(["family", "--n", "11", "--k", "1", "--d", "10"]) == 4
     assert run(["backbone", "--k", "31", "--d", "3"]) == 4
 

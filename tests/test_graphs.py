@@ -7,8 +7,8 @@ import pytest
 
 from bruteforce import (_code_rows, _connected_on, _order_code, fw_distances,
                         is_isomorphic, random_graph, random_rows,
-                        ref_canonical_code, ref_certificate, ref_graph_error,
-                        ref_layered_graph, relabel)
+                        ref_canonical_code, ref_certificate, ref_graph6,
+                        ref_graph_error, ref_layered_graph, relabel)
 from oremax import graphs
 from oremax import (CANONICAL_MAX_ORDER, MAX_ORDER, CapacityError, Graph,
                     Graph6ParseError, ParameterError, bit_code, bits,
@@ -565,6 +565,16 @@ def test_graph6_matches_networkx():
         want = nx.to_graph6_bytes(ref, header=False).rstrip(b"\n")
         assert to_graph6(g).encode("ascii") == want
         assert from_graph6(want) == g
+
+
+def test_graph6_encode_matches_the_per_group_reference():
+    # one base64 pass against one character per six-bit group
+    rng = random.Random(6363)
+    for n in range(MAX_ORDER + 1):
+        n_cells = n * (n - 1) // 2
+        for code in [0, (1 << n_cells) - 1,
+                     *(rng.getrandbits(n_cells) for _ in range(20))]:
+            assert graphs._graph6(n, code) == ref_graph6(n, code), (n, code)
 
 
 def test_graph6_round_trip_corpus():

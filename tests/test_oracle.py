@@ -18,8 +18,8 @@ from oremax import oracle
 from oremax.graphs import (CanonicalForm, Graph, _certificate, _invariant,
                           bit_code, from_bit_code, from_edges, reach,
                           relabeling_codes)
-from oremax.oracle import (_climb, _deletions, _flood, _levels, _top_move,
-                           _trees)
+from oremax.oracle import (_classes, _climb, _deletions, _flood, _levels,
+                           _top_move, _trees)
 
 #: every (n, k, d) that ``sweep(7)`` verifies
 SWEEP_7 = [(n, k, d) for n in range(3, 8) for k in range(1, 8)
@@ -151,7 +151,7 @@ def test_extremal_lists_are_canonical_and_sorted():
 
 def test_guards():
     with pytest.raises(CapacityError):
-        max_size_bruteforce(Parameters(9, 1, 2))
+        max_size_bruteforce(Parameters(10, 1, 2))
 
 
 def counting_moves(monkeypatch, n):
@@ -436,11 +436,11 @@ def test_climb_matches_full_enumeration():
 
 def test_climb_levels_hold_every_class():
     # each level of _levels against every labelled graph of order <= 6,
-    # deduped by orbit listing.  Up, kept holds the connected classes of
-    # diameter >= d; down, every connected class of diameter < d above
-    # the answer level, whatever its kappa, and the maximizers at it.
-    # The winners are the classes of diameter d and kappa >= k, down
-    # only at the answer level
+    # deduped by orbit listing.  kept holds the connected classes of
+    # diameter >= d up and < d down.  exact holds the classes of
+    # diameter d: all of them up; down, some of them, and all of them at
+    # the largest size that has any.  Below it, down reaches a class only
+    # from a top-key non-edge that lowers its diameter (see census.graded)
     def forms(graphs):
         # the canonical forms of one labelled graph per class
         texts = [canonical_form(Graph(len(rows), rows)).g6 for rows in graphs]
@@ -452,49 +452,47 @@ def test_climb_levels_hold_every_class():
         for text in dedup_canonical(n, list(range(1 << comb(n, 2)))):
             g = from_graph6(text)
             dia = fw_diameter(g)
-            table[text] = (g.size, None if dia is DISCONNECTED else dia,
-                           brute_vertex_connectivity(g))
-        for k, d in [(k, d) for order, k, d in SWEEP_7 if order == n]:
+            table[text] = g.size, None if dia is DISCONNECTED else dia
+        for d in range(2, n):
+            first = max(m for m, dia in table.values() if dia == d)
             for up in (False, True):
-                levels = {size: (forms(winners), forms(kept))
-                          for size, winners, kept in _levels(n, k, d, up)}
-                max_size, _ = _climb(n, k, d, up)
-                top = -1 if max_size is None else max_size
+                levels = {size: (forms(exact), forms(kept()))
+                          for size, exact, kept in _levels(n, d, up)}
                 for size in range(comb(n, 2) + 1):
-                    got = levels.get(size, (set(), set()))
-                    best = {t for t, (m, dia, kappa) in table.items()
-                            if m == size and dia == d and kappa >= k}
-                    if up:
-                        want = best, {t for t, (m, dia, _) in table.items()
-                                      if m == size and dia is not None
-                                      and dia >= d}
-                    elif size > top:
-                        want = set(), {t for t, (m, dia, _) in table.items()
-                                       if m == size and dia is not None
-                                       and dia < d}
-                    else:
-                        want = (best, best) if size == top else (set(), set())
-                    assert got == want, (n, k, d, up, size)
+                    exact, kept = levels.get(size, (set(), set()))
+                    graded = [(t, dia) for t, (m, dia) in table.items()
+                              if m == size and dia is not None]
+                    want = {t for t, dia in graded if dia == d}
+                    assert exact == want if up or size == first else (
+                        exact <= want), (n, d, up, size)
+                    assert kept == {t for t, dia in graded
+                                    if (dia >= d) == up}, (n, d, up, size)
 
 
-def test_down_levels_above_the_answer_ignore_k():
-    # the down walk keeps every class of diameter below d until a level
-    # holds a winner, so the walks for k = 1, 2 and 3 keep the same
-    # labelled classes, some of kappa 1, down to the k = 1 answer level,
-    # the first of the three to stop
-    for n in range(6, 9):
-        above = [{size: kept for size, winners, kept in _levels(n, k, 3, False)
-                  if not winners} for k in (1, 2, 3)]
-        assert not all(is_k_connected(Graph(n, rows), 2)
-                       for kept in above[0].values() for rows in kept)
-        for walk in above[1:]:
-            assert {size: walk[size] for size in above[0]} == above[0], n
+def test_down_climb_dedups_only_the_exact_graphs_of_its_answer_level(
+        monkeypatch):
+    # (8,2,3) stops at size 21, and no level grows from its graphs of
+    # diameter below 3 there: they are never deduped.  The outputs are
+    # the same either way, so the calls to _classes show it
+    deduped = []
+
+    def recording_classes(graphs):
+        deduped.append(graphs)
+        return _classes(graphs)
+
+    monkeypatch.setattr(oracle, "_classes", recording_classes)
+    max_size, extremal = _climb(8, 2, 3, False)
+    assert (max_size, len(extremal)) == (21, 2)
+    at_answer = [rows for graphs in deduped for rows in graphs
+                 if sum(row.bit_count() for row in rows) == 2 * max_size]
+    assert at_answer
+    assert all(fw_diameter(Graph(8, rows)) == 3 for rows in at_answer)
 
 
 def check_down_screens(n: int) -> int:
     """Check the down screen's source masks on the full down closure of
-    order n, ``_levels(n, n - 1, d, False)`` for d = 2..n - 1, which
-    expands every class of diameter below d and finds no winner.  Every
+    order n, ``_levels(n, d, False)`` for d = 2..n - 1, which expands
+    every class of diameter below d.  Every
     mask the walk passes to ``_flood`` must give the verdict of the full
     mask, and so must every child that ``_deletions`` makes from a class
     it expands, flooded from the vertices within (d - 2) // 2 of the
@@ -510,9 +508,8 @@ def check_down_screens(n: int) -> int:
     children = 0
     with mock.patch.object(oracle, "_flood", checked_flood):
         for d in range(2, n):
-            for _, winners, kept in _levels(n, n - 1, d, False):
-                assert not winners, (n, d)
-                for rows in kept:
+            for _, _, kept in _levels(n, d, False):
+                for rows in kept():
                     for u, v in _deletions(rows, False):
                         child = list(rows)
                         child[u] ^= 1 << v
@@ -626,13 +623,13 @@ def test_sweep_defaults_and_guard():
     params = [(r.params.n, r.params.k, r.params.d) for r in reports]
     assert params == [(3, 1, 2), (4, 1, 2), (4, 1, 3), (4, 2, 2)]
     with pytest.raises(CapacityError):
-        sweep(9)
+        sweep(10)
 
 
 @pytest.mark.parametrize("bounds", [(2,), (0,), (-3,), (5, 0), (5, 1, 1),
-                                    (9, 0)])
+                                    (10, 0)])
 def test_sweep_rejects_bounds_that_admit_no_instance(bounds):
-    # (9, 0) is past the guard as well; the guard is checked first
-    error = CapacityError if bounds[0] > 8 else ParameterError
+    # (10, 0) is past the guard as well; the guard is checked first
+    error = CapacityError if bounds[0] > 9 else ParameterError
     with pytest.raises(error):
         sweep(*bounds)
