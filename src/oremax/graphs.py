@@ -8,7 +8,9 @@ values are immutable: :func:`from_edges` builds one from an edge list.
 Everything is sized for desk-scale work: serialization uses the graph6
 format and therefore caps the order at 62, and canonical forms are found
 by a prefix-pruned search over vertex orders that keeps twins sorted,
-guarded to order 10.
+guarded to order 10.  :func:`relabeling_codes`, the orbit that referees
+it, shares only :func:`bit_code` with it: the orbit is the closure of
+one code under the swaps of adjacent labels, each two masked bit swaps.
 
 Bit conventions used throughout (they match graph6): the upper-triangle
 adjacency cells are ordered column by column,
@@ -326,25 +328,26 @@ def check_canonical_order(order: int) -> None:
             f"order {order} exceeds canonical-form guard {CANONICAL_MAX_ORDER}")
 
 
-def _order_codes(g: Graph, least: bool) -> set[int]:
-    """Bit codes of ``g`` under the vertex orders that keep twins sorted.
+def _least_code(g: Graph) -> int:
+    """Least bit code of ``g`` over the vertex orders that keep twins sorted.
 
     Orders grow one position at a time: placing w at position j appends
     column j of the code, w's adjacency to positions 0..j-1 with
     position 0 first.  Twins (equal neighbourhoods apart from each
     other) are placed in ascending label order; swapping twins is an
-    automorphism, so every code of the full orbit is still reached.
-    With ``least``, only the orders whose prefix equals the least
-    prefix so far are kept, so the result is the minimum alone.
+    automorphism, so the least code of the full orbit is still reached.
+    Every order kept at a level has the same prefix, so each level keeps
+    only the orders whose new column is the least one, and appends it.
     """
     rows = g.rows
     n = g.order
     earlier = lower_twins(rows)
-    level = [(0, 0, ())]
+    code = 0
+    level = [(0, ())]
     for j in range(n):
-        grown = []
-        for code, placed, order in level:
-            code <<= j
+        best = 1 << j  # above every j-bit column
+        kept = []
+        for placed, order in level:
             for w in range(n):
                 if placed >> w & 1 or earlier[w] & ~placed:
                     continue
@@ -352,12 +355,14 @@ def _order_codes(g: Graph, least: bool) -> set[int]:
                 col = 0
                 for x in order:
                     col = col << 1 | row >> x & 1
-                grown.append((code | col, placed | 1 << w, order + (w,)))
-        if least:
-            best = min(code for code, _, _ in grown)
-            grown = [state for state in grown if state[0] == best]
-        level = grown
-    return {code for code, _, _ in level}
+                if col < best:
+                    best = col
+                    kept = []
+                if col == best:
+                    kept.append((placed | 1 << w, order + (w,)))
+        code = code << j | best
+        level = kept
+    return code
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -368,14 +373,43 @@ def canonical_form(g: Graph) -> CanonicalForm:
     they are isomorphic.
     """
     check_canonical_order(g.order)
-    (best,) = _order_codes(g, least=True)
-    return CanonicalForm(_graph6(g.order, best))
+    return CanonicalForm(_graph6(g.order, _least_code(g)))
+
+
+@cache
+def _label_swaps(order: int) -> tuple[tuple[int, int, int], ...]:
+    """For each i < order - 1, the swap of labels i and i + 1 on a bit
+    code as two delta swaps, ``(i, cols, rows)``: the cells (x, i) and
+    (x, i + 1), x < i, lie i apart in the code, and the cells (i, y) and
+    (i + 1, y), y > i + 1, lie 1 apart.  ``cols`` and ``rows`` mask the
+    lower bit of each pair."""
+    top = order * (order - 1) // 2 - 1
+
+    def bit(x: int, y: int) -> int:  # cell (x, y), x < y
+        return 1 << top - (y * (y - 1) // 2 + x)
+
+    return tuple((i, sum(bit(x, i + 1) for x in range(i)),
+                  sum(bit(i + 1, y) for y in range(i + 2, order)))
+                 for i in range(order - 1))
 
 
 def relabeling_codes(g: Graph) -> set[int]:
-    """Set of bit codes of all relabellings of ``g`` (its labelled orbit)."""
+    """Set of bit codes of all relabellings of ``g`` (its labelled orbit):
+    the closure of its own code under the swaps of adjacent labels."""
     check_canonical_order(g.order)
-    return _order_codes(g, least=False)
+    swaps = _label_swaps(g.order)
+    orbit = {bit_code(g)}
+    todo = list(orbit)
+    while todo:
+        code = todo.pop()
+        for shift, cols, rows in swaps:
+            by_col = (code ^ code >> shift) & cols
+            by_row = (code ^ code >> 1) & rows
+            swapped = code ^ by_col ^ by_col << shift ^ by_row ^ by_row << 1
+            if swapped not in orbit:
+                orbit.add(swapped)
+                todo.append(swapped)
+    return orbit
 
 
 def _refine(rows: Sequence[int], cells: list[int]) -> list[int]:

@@ -69,8 +69,10 @@ over every complement of each size, that shares none of its code.
 Every maximizer is checked again before it is reported: size, diameter
 and connectivity by ``metrics``, and that it is the least code of its
 orbit.  Up to order 6 that test takes the minimum over the whole orbit
-(``relabeling_codes``, no pruning, at most 720 codes); at orders 7 to
-9, where an orbit holds up to 362,880 codes, it recomputes the pruned
+(``relabeling_codes``, at most 720 codes), the closure of the
+maximizer's code under the swaps of adjacent labels, which shares only
+``bit_code`` with the canonical form it checks; at orders 7 to 9,
+where an orbit holds up to 362,880 codes, it recomputes the pruned
 ``canonical_form`` and compares.
 
 The search's one guard is order 9: past it, CapacityError before any
@@ -285,8 +287,9 @@ def max_size_bruteforce(p: Parameters) -> OracleReport:
     Climbs up from the trees when d >= 4 and down from K_n otherwise.
     Each maximizer is checked again before it is reported: its size,
     diameter and connectivity, and that it is the least code of its
-    orbit, by the minimum over ``relabeling_codes`` up to order 6 and
-    by its own canonical form above.
+    orbit: up to order 6 by the minimum over ``relabeling_codes``, the
+    closure of its code under adjacent label swaps, and above by its
+    own canonical form.
     """
     if p.n > DEFAULT_ORDER_GUARD:
         raise CapacityError(

@@ -339,11 +339,12 @@ def test_canonical_form_random_relabelings_of_backbone():
 def test_canonical_form_against_reference():
     rng = random.Random(31)
     graphs = [random_graph(rng, rng.randrange(0, 7)) for _ in range(40)]
+    graphs += [random_graph(rng, n, rng.random()) for n in [7] * 6 + [8] * 6]
     # twin-free and vertex-transitive: the prefix search keeps many ties
     graphs += [cycle(8), cube()]
     for g in graphs:
         got = bit_code(from_graph6(canonical_form(g).g6))
-        assert got == ref_canonical_code(g)
+        assert got == ref_canonical_code(g), to_graph6(g)
 
 
 def test_canonical_form_separates_nonisomorphic():
@@ -383,29 +384,62 @@ def test_is_isomorphic():
 def test_relabeling_codes_is_full_orbit():
     from itertools import permutations
     rng = random.Random(47)
-    graphs = [path(4)]
+    # orders 0-2 have no swap that moves a cell
+    graphs = [from_edges(0, ()), from_edges(1, ()), from_edges(2, ()),
+              from_edges(2, [(0, 1)]), path(4), cycle(7)]
     graphs += [random_graph(rng, rng.randrange(0, 7), rng.random())
                for _ in range(30)]
-    # twin-heavy: a star, K2,3 and a backbone, where twin classes prune
+    graphs += [random_graph(rng, 7, rng.random()) for _ in range(4)]
+    # twin-heavy: a star, K2,3, a backbone, a complete layered graph
+    # (adjacent twins) and K3,4 (non-adjacent ones), where twins prune
     graphs += [from_edges(5, [(0, v) for v in range(1, 5)]),
                from_edges(5, [(u, v) for u in range(2) for v in range(2, 5)]),
-               build_backbone(2, 3)[0]]
+               build_backbone(2, 3)[0],
+               Graph(7, layered_rows([0b1, 0b110, 0b111000, 0b1000000])),
+               from_edges(7, [(u, v) for u in range(3) for v in range(3, 7)])]
     for g in graphs:
         want = {bit_code(relabel(g, perm))
                 for perm in permutations(range(g.order))}
-        assert relabeling_codes(g) == want
+        assert relabeling_codes(g) == want, to_graph6(g)
+
+
+def test_relabeling_codes_orbit_stabiliser_at_order_8():
+    # |orbit| x |Aut| = 8!, with Aut counted by networkx's matcher
+    rng = random.Random(59)
+    graphs = [path(8), cycle(8), cube(), random_graph(rng, 8, 0.4),
+              from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)])]
+    for g in graphs:
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.order))
+        ref.add_edges_from((u, v) for u, v in combinations(range(8), 2)
+                           if g.rows[u] >> v & 1)
+        automorphisms = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(
+            ref, ref).isomorphisms_iter())
+        assert len(relabeling_codes(g)) * automorphisms == 40320, (
+            to_graph6(g))
+
+
+def check_least_codes(n: int) -> int:
+    """Check every labelled graph of order n: ``canonical_form(g)`` is g
+    itself iff no relabelling of g has a smaller code, the orbit's
+    minimum by ``relabeling_codes``.  Returns how many of them are
+    canonical, one per isomorphism class."""
+    canonical = 0
+    for code in range(1 << n * (n - 1) // 2):
+        g = from_bit_code(n, code)
+        fixed = canonical_form(g).g6 == to_graph6(g)
+        assert fixed == (code == min(relabeling_codes(g))), to_graph6(g)
+        canonical += fixed
+    return canonical
 
 
 def test_canonical_form_fixes_exactly_the_least_codes():
     # the oracle's post-check above order 6: canonical_form(g) is g
     # itself iff no relabelling of g has a smaller code; every labelled
-    # graph of order <= 5, then seeded random graphs of order 6-8 in a
-    # random and in their canonical labelling
-    for n in range(6):
-        for code in range(1 << n * (n - 1) // 2):
-            g = from_bit_code(n, code)
-            fixed = canonical_form(g).g6 == to_graph6(g)
-            assert fixed == (code == min(relabeling_codes(g)))
+    # graph of order <= 5 (order 6, 32,768 graphs, runs in CI), one
+    # canonical per class (OEIS A000088), then seeded random graphs of
+    # order 6-8 in a random and in their canonical labelling
+    assert [check_least_codes(n) for n in range(6)] == [1, 1, 2, 4, 11, 34]
     rng = random.Random(1729)
     for n, count in [(6, 60), (7, 20), (8, 6)]:
         for _ in range(count):
