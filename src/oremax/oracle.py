@@ -43,7 +43,11 @@ diameter d would have won at its level and stopped the climb), and
 X - e is connected with diameter >= d up.  Either way it is in the
 previous level, whose representative makes a copy of X by the move
 that corresponds to e, or by a twin of it, and that move carries the
-top key.
+top key.  ``_top_moves`` settles the test from the parent: a move
+leaves the key of every pair apart from it as it was, so the parent's
+movable pairs, ranked by key once, reject most moves before their child
+is built, and a child that passes needs only its O(n) pairs with an end
+at the moved pair tested.
 
 Each child kept gets one screen, ``metrics``' diameter ratchet run from
 d - 1 and capped at d, which tells a diameter below, at or above d.
@@ -90,7 +94,7 @@ from typing import Callable, Iterator
 from .errors import CapacityError, ParameterError
 from .extremal import (FormulaMode, Parameters, backbone_order,
                        enumerate_family, max_size_formula)
-from .graphs import (Graph, _certificate, _invariant, bit_code, bits,
+from .graphs import (Graph, _certificate, _invariant, bit_code,
                      canonical_form, from_graph6, layered_rows, lower_twins,
                      reach, relabeling_codes, to_graph6)
 from .metrics import _diameter, diameter, is_k_connected
@@ -144,27 +148,82 @@ def _flood(rows: tuple[int, ...], d: int, todo: int) -> bool | None:
     return None if best is None else best == d
 
 
-def _top_move(rows: tuple[int, ...], u: int, v: int, up: bool) -> bool:
-    """The canonical-deletion test: whether the pair uv just moved has
-    the greatest key (deg x + deg y, |N(x) & N(y)|) among the movable
-    pairs of ``rows``.  Down those are the non-edges; up, the edges
-    whose removal leaves the graph connected, which an edge with a
-    common neighbour, on a triangle, always does."""
+def _top_moves(rows: tuple[int, ...],
+               up: bool) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The canonical-deletion test, settled from the parent ``rows``:
+    each move uv of ``_deletions`` whose pair has the greatest key
+    (deg x + deg y, |N(x) & N(y)|) among the movable pairs of its child,
+    ties kept, as (u, v, child).  Down the movable pairs are the
+    non-edges; up, the edges whose removal leaves the graph connected.
+
+    A pair of the parent with no end at u or v keeps its key in the
+    child, and its movability too, except that up a bridge of the parent
+    becomes movable when u and v lie on its two sides.  So a move is
+    rejected, before its child is built, by the parent's movable pairs
+    ranked by key once: the first one apart from uv whose key beats
+    uv's.  A child that passes needs only its pairs with an end at u or
+    v tested, O(n) of them."""
+    n = len(rows)
+    full = (1 << n) - 1
     degree = [row.bit_count() for row in rows]
-    top = degree[u] + degree[v], (rows[u] & rows[v]).bit_count()
-    for y in range(len(rows)):
-        m = (rows[y] if up else ~rows[y]) & ((1 << y) - 1)  # as in reach
+    step = 1 if up else -1
+    # (key, pair, x, y), the key as one int, its common count below n;
+    # the key -1 ends every walk
+    ranked = [(-1, 0, 0, 0)]
+    for y in range(n):
+        m = (rows[y] if up else ~rows[y]) & ((1 << y) - 1)
         while m:
             low = m & -m
             m ^= low
             x = low.bit_length() - 1
-            common = rows[x] & rows[y]
-            # up, xy is no bridge iff x's other neighbours reach y without x
-            if (degree[x] + degree[y], common.bit_count()) > top and (
-                    not up or common
-                    or reach(rows, rows[x] ^ 1 << y, ~(1 << x))[0] >> y & 1):
-                return False
-    return True
+            ranked.append(((degree[x] + degree[y]) * n
+                           + (rows[x] & rows[y]).bit_count(), low | 1 << y,
+                           x, y))
+    ranked.sort(reverse=True)
+    # up: parent edge -> x's side of it, with y too iff it is no bridge
+    sides: dict[int, int] = {}
+
+    def joined(x: int, y: int, u: int, v: int) -> bool:
+        # up: whether the parent edge xy, with no common neighbour, is no
+        # bridge once uv is added
+        pair = 1 << x | 1 << y
+        side = sides.get(pair)
+        if side is None:
+            side = sides[pair] = reach(rows, rows[x] ^ 1 << y,
+                                       ~(1 << x))[0] | 1 << x
+        return side & pair == pair or bool((side >> u ^ side >> v) & 1)
+
+    for u, v in _deletions(rows, up):
+        moved = 1 << u | 1 << v
+        du, dv = degree[u] + step, degree[v] + step
+        top = (du + dv) * n + (rows[u] & rows[v]).bit_count()
+        # the first pair apart from uv that beats it and stays movable
+        for key, pair, x, y in ranked:
+            if key <= top or not pair & moved and (
+                    not up or rows[x] & rows[y] or joined(x, y, u, v)):
+                break
+        if key > top:
+            continue
+        child = list(rows)
+        child[u] ^= 1 << v
+        child[v] ^= 1 << u
+        # the child's pairs with an end z at u or v, the pair uv aside
+        for z, dz in (u, du), (v, dv):
+            row = child[z]
+            m = (row if up else full & ~row) & ~moved
+            while m:
+                low = m & -m
+                m ^= low
+                y = low.bit_length() - 1
+                common = row & child[y]
+                if (dz + degree[y]) * n + common.bit_count() > top and (
+                        not up or common or joined(z, y, u, v)):
+                    break
+            else:
+                continue  # no pair at z beats uv
+            break
+        else:
+            yield u, v, tuple(child)
 
 
 def _deletions(rows: tuple[int, ...], up: bool) -> list[tuple[int, int]]:
@@ -178,9 +237,16 @@ def _deletions(rows: tuple[int, ...], up: bool) -> list[tuple[int, int]]:
     of one class.
     """
     earlier = lower_twins(rows)
-    return [(u, v) for v in range(len(rows))
-            for u in bits((~rows[v] if up else rows[v]) & ((1 << v) - 1))
-            if not earlier[u] and earlier[v] in (0, 1 << u)]
+    moves = []
+    for v, row in enumerate(rows):
+        m = (~row if up else row) & ((1 << v) - 1)
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            if not earlier[u] and earlier[v] in (0, low):
+                moves.append((u, v))
+    return moves
 
 
 def _classes(graphs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -221,9 +287,10 @@ def _levels(n: int, d: int,
     class of diameter exactly d.  ``kept()`` gives the classes the next
     level grows from: up, every class of diameter >= d, ``exact`` among
     them; down, every class of diameter below d, deduped only when the
-    reader asks for the next level.  A down child is flooded only near
-    the pair deleted from its parent (see ``_flood``), any other from
-    every vertex."""
+    reader asks for the next level.  Each class kept hands its children
+    through ``_top_moves``, which keeps those whose moved pair has the
+    top key.  A down child is flooded only near the pair deleted from
+    its parent (see ``_flood``), any other from every vertex."""
     full = (1 << n) - 1
     if up:
         start = _trees(n, d) if d < n else []
@@ -249,14 +316,10 @@ def _levels(n: int, d: int,
         size += step
         parents, verdicts = kept(), {}
         for rows in parents:
-            for u, v in _deletions(rows, up):
-                child = list(rows)
-                child[u] ^= 1 << v
-                child[v] ^= 1 << u
-                child = tuple(child)
-                # a child the filter drops is not stored: a later copy
-                # of it may have moved its top-key pair
-                if child not in verdicts and _top_move(child, u, v, up):
+            # a child the filter drops is not stored: a later copy of it
+            # may have moved its top-key pair
+            for u, v, child in _top_moves(rows, up):
+                if child not in verdicts:
                     verdicts[child] = _flood(child, d, full if up else reach(
                         rows, 1 << u | 1 << v, depth=(d - 2) // 2)[0])
 

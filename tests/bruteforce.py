@@ -5,12 +5,13 @@ structure, an edge list for the complete layered graph, subset
 enumeration for cuts, full permutation scans for canonical codes, one
 character per six-bit group for graph6, the
 individualisation-refinement tree with no pruning for the certificate,
-networkx for isomorphism, and the labelled scan over every complement
-of each size for the oracle's maximum and maximizers.  They share no
-code with the package beyond building a graph from its edges or rows, so
-disagreements mean real bugs.  ``candidate_specs`` lists the window
-specs of the package's ``build_family_member``, the one constructor
-left that takes them.
+networkx for isomorphism, the labelled scan over every complement of
+each size for the oracle's maximum and maximizers, and every pair of
+the child, each edge deleted and flooded, for the canonical-deletion
+test.  They share no code with the package beyond building a graph
+from its edges or rows, so disagreements mean real bugs.
+``candidate_specs`` lists the window specs of the package's
+``build_family_member``, the one constructor left that takes them.
 """
 
 from __future__ import annotations
@@ -191,6 +192,31 @@ def _flood(rows, seed: int, allowed: int = -1, depth: int = -1):
         reached |= frontier
         depth -= 1
     return reached, frontier
+
+
+def _top_move(rows, u: int, v: int, up: bool) -> bool:
+    """The canonical-deletion test on the child ``rows`` alone: whether
+    the pair uv just moved has the greatest key (deg x + deg y,
+    |N(x) & N(y)|), ties allowed, among the movable pairs of ``rows``.
+    Down those are the non-edges; up, the edges whose deletion leaves y
+    reachable from x, found by deleting the edge and flooding."""
+    def key(x, y):
+        return (rows[x].bit_count() + rows[y].bit_count(),
+                (rows[x] & rows[y]).bit_count())
+
+    def movable(x, y):
+        if rows[x] >> y & 1 != up:
+            return False
+        if not up:
+            return True
+        cut = list(rows)
+        cut[x] ^= 1 << y
+        cut[y] ^= 1 << x
+        return bool(_flood(cut, 1 << x)[0] >> y & 1)
+
+    top = key(u, v)
+    return not any(key(x, y) > top and movable(x, y)
+                   for x, y in combinations(range(len(rows)), 2))
 
 
 def brute_min_separator(g: Graph, s: int, t: int) -> int:

@@ -6,8 +6,8 @@ from unittest import mock
 import networkx as nx
 import pytest
 
-from bruteforce import (brute_vertex_connectivity, candidate_ok, cells,
-                        dedup_canonical, fw_diameter, is_isomorphic,
+from bruteforce import (_top_move, brute_vertex_connectivity, candidate_ok,
+                        cells, dedup_canonical, fw_diameter, is_isomorphic,
                         keep_masks, labelled_search, random_graph,
                         ref_canonical_code, relabel, scan_level)
 from oremax import (DISCONNECTED, CapacityError, ParameterError, Parameters,
@@ -19,7 +19,7 @@ from oremax.graphs import (CanonicalForm, Graph, _certificate, _invariant,
                           bit_code, from_bit_code, from_edges, reach,
                           relabeling_codes)
 from oremax.oracle import (_classes, _climb, _deletions, _flood, _levels,
-                           _top_move, _trees)
+                           _top_moves, _trees)
 
 #: every (n, k, d) that ``sweep(7)`` verifies
 SWEEP_7 = [(n, k, d) for n in range(3, 8) for k in range(1, 8)
@@ -231,18 +231,31 @@ def test_climb_matches_labelled_scan():
             assert _climb(n, k, d, up) == want, (n, k, d, up)
 
 
+def toggled(rows, u, v):
+    """``rows`` with the pair uv moved: an edge deleted or a non-edge
+    added."""
+    child = list(rows)
+    child[u] ^= 1 << v
+    child[v] ^= 1 << u
+    return tuple(child)
+
+
 def test_certificate_splits_climbed_graphs_like_canonical_form(monkeypatch):
-    # every labelled child the SWEEP_7 climbs make, down and up, that
-    # the flood passes, recorded before the canonical-deletion filter
+    # every labelled child that _deletions makes from a parent of the
+    # SWEEP_7 climbs, down and up, and that the full flood passes,
+    # recorded before the canonical-deletion filter
     visited = set()
     depth = 0
 
-    def recording_top_move(rows, *args):
-        if _flood(rows, depth, (1 << len(rows)) - 1) is not None:
-            visited.add(rows)
-        return _top_move(rows, *args)
+    def recording_deletions(rows, up):
+        moves = _deletions(rows, up)
+        for u, v in moves:
+            child = toggled(rows, u, v)
+            if _flood(child, depth, (1 << len(rows)) - 1) is not None:
+                visited.add(child)
+        return moves
 
-    monkeypatch.setattr(oracle, "_top_move", recording_top_move)
+    monkeypatch.setattr(oracle, "_deletions", recording_deletions)
     for n, k, d in SWEEP_7:
         depth = d
         for up in (False, True):
@@ -511,10 +524,7 @@ def check_down_screens(n: int) -> int:
             for _, _, kept in _levels(n, d, False):
                 for rows in kept():
                     for u, v in _deletions(rows, False):
-                        child = list(rows)
-                        child[u] ^= 1 << v
-                        child[v] ^= 1 << u
-                        checked_flood(tuple(child), d, reach(
+                        checked_flood(toggled(rows, u, v), d, reach(
                             rows, 1 << u | 1 << v, depth=(d - 2) // 2)[0])
                         children += 1
     return children
@@ -524,6 +534,34 @@ def check_down_screens(n: int) -> int:
 def test_masked_down_screen_equals_the_full_one(n, children):
     # the whole order-8 closure, 568,335 children, runs in CI
     assert check_down_screens(n) == children
+
+
+def check_top_moves(n: int) -> int:
+    """Check the canonical-deletion test on every closure of order n,
+    ``_levels(n, d, up)`` for d = 2..n - 1, both ways.  Of the moves that
+    ``_deletions`` makes from each class a level expands, ``_top_moves``
+    must keep, each with its child, exactly those that the reference
+    ``_top_move`` passes on the child.  Returns the number of those
+    children."""
+    children = 0
+    for up in (False, True):
+        for d in range(2, n):
+            for _, _, kept in _levels(n, d, up):
+                for rows in kept():
+                    got = list(_top_moves(rows, up))
+                    want = [(u, v, toggled(rows, u, v))
+                            for u, v in _deletions(rows, up)]
+                    children += len(want)
+                    assert got == [(u, v, child) for u, v, child in want
+                                   if _top_move(child, u, v, up)], (rows, up)
+    return children
+
+
+@pytest.mark.parametrize("n, children", [(3, 2), (4, 20), (5, 203), (6, 2406),
+                                         (7, 35341)])
+def test_top_moves_equal_the_reference(n, children):
+    # the order-8 closures run in CI
+    assert check_top_moves(n) == children
 
 
 def test_labelled_scan_matches_full_enumeration():
